@@ -2,7 +2,9 @@
 //
 // Runs one flow configuration and prints the PPA summary; optionally dumps
 // the design artifacts (LEF, Liberty, Verilog, per-side DEFs, merged DEF,
-// SPEF) the way the paper's tool chain would exchange them.
+// SPEF) the way the paper's tool chain would exchange them.  The dumped
+// files are the signed-off design of that one run (post-ECO when the ECO
+// ran), so they describe exactly the design whose PPA was printed.
 //
 //   ffet_cli [options]
 //     --tech ffet|cfet          technology (default ffet)
@@ -31,10 +33,6 @@
 #include "io/def.h"
 #include "io/verilog.h"
 #include "liberty/liberty_writer.h"
-#include "pnr/cts.h"
-#include "pnr/floorplan.h"
-#include "pnr/placement.h"
-#include "pnr/powerplan.h"
 #include "pnr/report.h"
 
 using namespace ffet;
@@ -106,6 +104,11 @@ int main(int argc, char** argv) {
     }
   }
 
+  if (const std::string bad = flow::validate_config(cfg); !bad.empty()) {
+    std::printf("invalid config: %s\n", bad.c_str());
+    usage(argv[0]);
+  }
+
   std::printf("config: %s\n", cfg.label().c_str());
   const auto ctx = flow::prepare_design(cfg);
   std::printf("design: %d instances, est. %.2f GHz after synthesis\n",
@@ -121,7 +124,8 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  const flow::FlowResult r = flow::run_physical(*ctx, cfg);
+  const flow::PhysicalDesign d = flow::run_physical_design(*ctx, cfg);
+  const flow::FlowResult& r = d.result;
   std::printf("\narea   : %.1f um^2 (%.1f x %.1f), util %.1f%%\n",
               r.core_area_um2, r.core_width_um, r.core_height_um,
               r.utilization * 100);
@@ -134,51 +138,34 @@ int main(int argc, char** argv) {
               r.wirelength_front_um, r.wirelength_back_um, r.drv,
               r.valid() ? "VALID" : "INVALID");
 
-  if (dump || congestion) {
-    // Re-run the physical stages to get the intermediate artifacts.
-    netlist::Netlist nl = ctx->netlist;
-    pnr::FloorplanOptions fo;
-    fo.target_utilization = cfg.utilization;
-    fo.aspect_ratio = cfg.aspect_ratio;
-    const pnr::Floorplan fp = pnr::make_floorplan(nl, ctx->tech(), fo);
-    const pnr::PowerPlan pp = pnr::build_power_plan(nl, fp, *ctx->library);
-    pnr::place(nl, fp, pp);
-    pnr::build_clock_tree(nl, fp);
-    const pnr::RouteResult rr = pnr::route_design(nl, fp);
-
-    if (congestion) {
-      std::printf("\nfrontside congestion:\n%s\n",
+  if (congestion) {
+    const pnr::RouteResult& rr = d.routes;
+    std::printf("\nfrontside congestion:\n%s\n",
+                pnr::render_heatmap(
+                    pnr::build_congestion_map(rr, tech::Side::Front).load)
+                    .c_str());
+    if (rr.nets_back > 0) {
+      std::printf("backside congestion:\n%s\n",
                   pnr::render_heatmap(
-                      pnr::build_congestion_map(rr, tech::Side::Front).load)
+                      pnr::build_congestion_map(rr, tech::Side::Back).load)
                       .c_str());
-      if (rr.nets_back > 0) {
-        std::printf("backside congestion:\n%s\n",
-                    pnr::render_heatmap(
-                        pnr::build_congestion_map(rr, tech::Side::Back).load)
-                        .c_str());
-      }
-      std::printf("%s\n", pnr::routing_summary(rr).c_str());
     }
+    std::printf("%s\n", pnr::routing_summary(rr).c_str());
+  }
 
-    if (dump) {
-      const std::string p = *dump;
-      std::ofstream(p + ".lef") << io::to_lef_string(*ctx->library);
-      std::ofstream(p + ".lib")
-          << liberty::to_liberty_string(*ctx->library);
-      std::ofstream(p + ".v") << io::to_verilog_string(ctx->netlist);
-      const io::Def front = io::build_def(nl, rr, tech::Side::Front);
-      const io::Def back = io::build_def(nl, rr, tech::Side::Back);
-      const io::Def merged = io::merge_defs(front, back);
-      std::ofstream(p + ".front.def") << io::to_def_string(front);
-      std::ofstream(p + ".back.def") << io::to_def_string(back);
-      std::ofstream(p + ".merged.def") << io::to_def_string(merged);
-      const extract::RcNetlist rc =
-          extract::extract_rc(merged, nl, ctx->tech());
-      std::ofstream(p + ".spef") << extract::to_spef_string(rc, nl);
-      std::printf("\nwrote %s.{lef,lib,v,front.def,back.def,merged.def,"
-                  "spef}\n",
-                  p.c_str());
-    }
+  if (dump) {
+    const std::string p = *dump;
+    std::ofstream(p + ".lef") << io::to_lef_string(*ctx->library);
+    std::ofstream(p + ".lib") << liberty::to_liberty_string(*ctx->library);
+    std::ofstream(p + ".v") << io::to_verilog_string(d.nl);
+    std::ofstream(p + ".front.def")
+        << io::to_def_string(io::build_def(d.nl, d.routes, tech::Side::Front));
+    std::ofstream(p + ".back.def")
+        << io::to_def_string(io::build_def(d.nl, d.routes, tech::Side::Back));
+    std::ofstream(p + ".merged.def") << io::to_def_string(d.merged);
+    std::ofstream(p + ".spef") << extract::to_spef_string(d.rc, d.nl);
+    std::printf("\nwrote %s.{lef,lib,v,front.def,back.def,merged.def,spef}\n",
+                p.c_str());
   }
   return r.valid() ? 0 : 1;
 }

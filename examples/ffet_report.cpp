@@ -3,7 +3,7 @@
 // Three subcommands:
 //
 //   ffet_report timing [flow-opts] [--top K] [--period PS]
-//       Re-run the physical flow for the given config, then print the
+//       Run the physical flow for the given config, then print the
 //       top-K worst endpoint paths stage by stage: arrival / slew / load /
 //       fanout per pin, the wafer side of every pin, and explicit markers
 //       where the path crosses front<->back through a dual-sided
@@ -57,7 +57,6 @@
 #include "report/net_report.h"
 #include "report/qor.h"
 #include "report/serve_stats.h"
-#include "report/snapshot.h"
 #include "report/timing_report.h"
 #include "sta/sta.h"
 
@@ -136,6 +135,14 @@ struct ArgReader {
     }
     return true;
   }
+
+  /// After the flags: a config the flow cannot run is a usage error.
+  void require_valid(const flow::FlowConfig& cfg) const {
+    if (const std::string bad = flow::validate_config(cfg); !bad.empty()) {
+      std::fprintf(stderr, "invalid config: %s\n", bad.c_str());
+      usage(argv[0]);
+    }
+  }
 };
 
 int cmd_timing(ArgReader& args) {
@@ -151,18 +158,19 @@ int cmd_timing(ArgReader& args) {
       usage(args.argv[0]);
     }
   }
+  args.require_valid(cfg);
 
   std::printf("config: %s\n", cfg.label().c_str());
-  const auto snap = report::build_snapshot(cfg);
-  sta::Sta sta(&snap->nl, &snap->rc, snap->sta_options);
-  const sta::TimingReport timing =
-      sta.analyze_timing(&snap->cts.sink_latency_ps);
+  const auto ctx = flow::prepare_design(cfg);
+  const flow::PhysicalDesign d = flow::run_physical_design(*ctx, cfg);
+  sta::Sta sta(&d.nl, &d.rc, d.sta_options);
+  const sta::TimingReport timing = sta.analyze_timing(&d.cts.sink_latency_ps);
   std::printf("signoff: %.3f GHz (critical path %.2f ps)%s\n\n",
               timing.achieved_freq_ghz, timing.critical_path_ps,
-              snap->eco_ran ? "  [post-ECO]" : "");
+              d.result.eco_passes_run > 0 ? "  [post-ECO]" : "");
 
   const auto paths = report::build_timing_paths(
-      sta, snap->nl, &snap->rc, &snap->cts.sink_latency_ps, opts);
+      sta, d.nl, &d.rc, &d.cts.sink_latency_ps, opts);
   const double period = opts.target_period_ps > 0.0
                             ? opts.target_period_ps
                             : timing.critical_path_ps;
@@ -193,11 +201,12 @@ int cmd_nets(ArgReader& args) {
       usage(args.argv[0]);
     }
   }
+  args.require_valid(cfg);
 
   std::printf("config: %s\n\n", cfg.label().c_str());
-  const auto snap = report::build_snapshot(cfg);
-  const report::NetReport rep =
-      report::build_net_report(snap->nl, snap->merged, snap->rc);
+  const auto ctx = flow::prepare_design(cfg);
+  const flow::PhysicalDesign d = flow::run_physical_design(*ctx, cfg);
+  const report::NetReport rep = report::build_net_report(d.nl, d.merged, d.rc);
   if (!net_name.empty()) {
     std::fputs(report::format_net_detail(rep, net_name).c_str(), stdout);
   } else {

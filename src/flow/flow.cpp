@@ -9,6 +9,7 @@
 #include <ctime>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <sstream>
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -56,6 +57,38 @@ std::string FlowConfig::label() const {
   if (simulate_activity) os << " act=" << activity_cycles;
   if (eco_passes > 0) os << " eco=" << eco_passes;
   return os.str();
+}
+
+std::string validate_config(const FlowConfig& c) {
+  // The ranges the stages throw on, plus non-finite numbers.  NaN fails
+  // every comparison, so each range is written to reject it.
+  if (!(c.backside_input_fraction >= 0.0 && c.backside_input_fraction <= 1.0)) {
+    return "backside_input_fraction must be in [0, 1]";
+  }
+  if (c.backside_input_fraction > 0.0) {
+    if (c.tech_kind == tech::TechKind::Cfet4T) {
+      return "CFET cells cannot expose backside pins "
+             "(backside_input_fraction must be 0)";
+    }
+    if (c.back_layers < 1) {
+      return "backside pins need backside routing layers (back_layers >= 1)";
+    }
+  }
+  if (!(c.target_freq_ghz > 0.0 && std::isfinite(c.target_freq_ghz))) {
+    return "target_freq_ghz must be a positive finite number";
+  }
+  if (!(c.utilization > 0.0 && c.utilization <= 1.0)) {
+    return "utilization must be in (0, 1]";
+  }
+  if (!(c.aspect_ratio > 0.0 && std::isfinite(c.aspect_ratio))) {
+    return "aspect_ratio must be a positive finite number";
+  }
+  // RV32 instructions carry 5-bit register numbers.
+  const int regs = c.rv32_registers;
+  if (regs < 2 || regs > 32 || (regs & (regs - 1)) != 0) {
+    return "rv32_registers must be a power of two in [2, 32]";
+  }
+  return {};
 }
 
 std::string resolve_ledger_path(const std::string& explicit_path) {
@@ -216,26 +249,31 @@ std::vector<std::uint32_t> activity_program() {
 /// timings themselves are always collected (two clock reads per stage);
 /// the span and the per-stage histogram are gated on obs state, and the
 /// per-stage RSS delta on the resource probe (zero syscalls when off).
+/// A null `res` makes the clock inert: the step is part of an enclosing
+/// stage that is already being timed.
 class StageClock {
  public:
-  StageClock(FlowResult& res, const char* name)
-      : res_(res), name_(name), span_("flow.", name),
-        resource_on_(obs::resource_enabled()),
+  StageClock(FlowResult* res, const char* name)
+      : res_(res), name_(name),
+        resource_on_(res != nullptr && obs::resource_enabled()),
         wall0_(std::chrono::steady_clock::now()),
-        cpu0_(obs::thread_cpu_ms()),
-        rss0_kb_(resource_on_ ? obs::sample_current_rss_kb() : 0) {}
+        cpu0_(res != nullptr ? obs::thread_cpu_ms() : 0.0),
+        rss0_kb_(resource_on_ ? obs::sample_current_rss_kb() : 0) {
+    if (res_ != nullptr) span_.emplace("flow.", name);
+  }
 
   StageClock(const StageClock&) = delete;
   StageClock& operator=(const StageClock&) = delete;
 
   ~StageClock() {
+    if (res_ == nullptr) return;
     const double wall_ms = std::chrono::duration<double, std::milli>(
                                std::chrono::steady_clock::now() - wall0_)
                                .count();
     const double cpu_ms = obs::thread_cpu_ms() - cpu0_;
     const long long rss_delta_kb =
         resource_on_ ? obs::sample_current_rss_kb() - rss0_kb_ : 0;
-    res_.stage_times.push_back({name_, wall_ms, cpu_ms, rss_delta_kb});
+    res_->stage_times.push_back({name_, wall_ms, cpu_ms, rss_delta_kb});
     if (obs::metrics_enabled()) {
       obs::histogram(std::string("flow.stage.") + name_ + ".ms")
           .observe(wall_ms);
@@ -252,9 +290,9 @@ class StageClock {
   }
 
  private:
-  FlowResult& res_;
+  FlowResult* res_;
   const char* name_;
-  obs::TraceScope span_;
+  std::optional<obs::TraceScope> span_;
   bool resource_on_;
   std::chrono::steady_clock::time_point wall0_;
   double cpu0_;
@@ -326,13 +364,129 @@ void emit_ledger(const FlowResult& res, int threads) {
   obs::append_jsonl_line(path, line);
 }
 
+/// Per-net toggle rates from a short workload on the gate-level netlist
+/// (clock nets toggle twice per cycle): the activity the power analysis
+/// uses instead of the default factor when FlowConfig::simulate_activity
+/// is set.
+std::vector<double> simulate_toggles(const netlist::Netlist& nl, int cycles) {
+  riscv::Rv32Harness harness_like(&nl);  // drives clk/rst and memories
+  harness_like.load_program(activity_program());
+  harness_like.reset();
+  harness_like.sim().reset_activity();
+  harness_like.step(cycles);
+  std::vector<double> toggles(static_cast<std::size_t>(nl.num_nets()), 0.0);
+  for (int n = 0; n < nl.num_nets(); ++n) {
+    toggles[static_cast<std::size_t>(n)] =
+        nl.net(n).is_clock ? 2.0 : harness_like.sim().toggle_rate(n);
+  }
+  return toggles;
+}
+
+/// Signoff of the routed design in `d` as it stands: front + back DEF ->
+/// merged DEF -> dual-sided RC extraction -> setup/hold STA -> activity ->
+/// power.  Leaves the merged DEF and the RC netlist in `d` and the PPA in
+/// `d.result`.  The first signoff times each step as its own stage; the
+/// re-signoff after the ECO runs inside the caller's one "eco_signoff"
+/// stage and also reports the iso-frequency power.
+void sign_off(PhysicalDesign& d, const DesignContext& ctx,
+              const FlowConfig& config, int threads, bool after_eco) {
+  FlowResult& res = d.result;
+  FlowResult* const timed = after_eco ? nullptr : &res;
+
+  d.merged = [&] {
+    StageClock clk(timed, "def_merge");
+    const io::Def front = io::build_def(d.nl, d.routes, tech::Side::Front);
+    const io::Def back = io::build_def(d.nl, d.routes, tech::Side::Back);
+    return io::merge_defs(front, back);
+  }();
+  d.rc = [&] {
+    StageClock clk(timed, "extract");
+    return extract::extract_rc(d.merged, d.nl, ctx.tech(), threads);
+  }();
+
+  // Structure-size accounting (the resource section's "allocation
+  // counters"): how big the per-point data plane actually got.
+  if (res.resource.sampled) {
+    long long wires = 0;
+    for (const io::DefNet& n : d.merged.nets) {
+      wires += static_cast<long long>(n.wires.size());
+    }
+    res.resource.netlist_cells = d.nl.num_instances();
+    res.resource.netlist_nets = d.nl.num_nets();
+    res.resource.rc_nodes = d.rc.tree_node_count();
+    res.resource.route_grid_nodes =
+        static_cast<long long>(d.routes.gcols) * d.routes.grows;
+    res.resource.def_components =
+        static_cast<long long>(d.merged.components.size());
+    res.resource.def_wires = wires;
+  }
+
+  const auto* sink_latency = &d.cts.sink_latency_ps;
+  sta::Sta sta(&d.nl, &d.rc, d.sta_options);
+  const sta::TimingReport timing = [&] {
+    StageClock clk(timed, "sta_timing");
+    return sta.analyze_timing(sink_latency);
+  }();
+  res.achieved_freq_ghz = timing.achieved_freq_ghz;
+  res.critical_path_ps = timing.critical_path_ps;
+  if (obs::verbose()) {
+    const auto worst = sta.worst_paths(1, sink_latency);
+    if (!worst.empty()) {
+      const std::string ep = sta.endpoint_name(worst[0]);
+      std::printf("  [sta] %s: worst_slack=%+.2f ps (%.3f GHz) "
+                  "endpoint=%s side_crossings=%d\n",
+                  after_eco ? "eco_signoff" : "signoff",
+                  timing.slack_ps(1000.0 / config.target_freq_ghz),
+                  timing.achieved_freq_ghz, ep.c_str(),
+                  sta.path_side_crossings(worst[0]));
+    }
+  }
+  const sta::HoldReport hold = [&] {
+    StageClock clk(timed, "sta_hold");
+    return sta.analyze_hold(sink_latency);
+  }();
+  res.hold_slack_ps = hold.worst_slack_ps;
+  res.hold_violations = hold.violations;
+
+  // ECO buffers add nets, so the re-signoff re-derives toggle rates on the
+  // final netlist.
+  std::vector<double> toggles;
+  if (config.simulate_activity) {
+    StageClock clk(timed, "activity_sim");
+    toggles = simulate_toggles(d.nl, config.activity_cycles);
+  }
+  const std::vector<double>* toggles_ptr =
+      config.simulate_activity ? &toggles : nullptr;
+
+  const sta::PowerReport power = [&] {
+    StageClock clk(timed, "power");
+    return sta.analyze_power(res.achieved_freq_ghz, toggles_ptr);
+  }();
+  res.power_uw = power.total_uw();
+  res.switching_uw = power.switching_uw;
+  res.internal_uw = power.internal_uw;
+  res.leakage_uw = power.leakage_uw;
+  res.efficiency_ghz_per_mw = power.efficiency_ghz_per_mw();
+  res.ir_drop_mv = d.pp.estimate_ir_drop_mv(res.power_uw);
+  if (after_eco) {
+    // Iso-frequency power: the optimized design clocked at the pre-ECO
+    // frequency (the "faster at ~equal power" contract's denominator).
+    res.eco_iso_power_uw =
+        sta.analyze_power(res.eco_pre_freq_ghz, toggles_ptr).total_uw();
+  }
+}
+
 }  // namespace
 
-FlowResult run_physical(const DesignContext& ctx, const FlowConfig& config) {
+PhysicalDesign run_physical_design(const DesignContext& ctx,
+                                   const FlowConfig& config) {
   obs::init_from_env();
   FFET_TRACE_SCOPE("flow.point");
   const auto point0 = std::chrono::steady_clock::now();
-  FlowResult res;
+  // Work on a private copy: taps, CTS buffers and placement are per-run.
+  PhysicalDesign d(ctx.netlist);
+  netlist::Netlist& nl = d.nl;
+  FlowResult& res = d.result;
   res.config = config;
   const int threads = runtime::resolve_threads(config.threads);
   // One probe decision per point: every stage delta and the final sample
@@ -340,36 +494,34 @@ FlowResult run_physical(const DesignContext& ctx, const FlowConfig& config) {
   const bool resource_on = obs::resource_enabled();
   res.resource.sampled = resource_on;
 
-  // Work on a private copy: taps, CTS buffers and placement are per-run.
-  netlist::Netlist nl = ctx.netlist;
-
   // --- floorplan -------------------------------------------------------------
   pnr::FloorplanOptions fo;
   fo.target_utilization = config.utilization;
   fo.aspect_ratio = config.aspect_ratio;
-  const pnr::Floorplan fp = [&] {
-    StageClock clk(res, "floorplan");
+  d.fp = [&] {
+    StageClock clk(&res, "floorplan");
     return pnr::make_floorplan(nl, ctx.tech(), fo);
   }();
-  res.core_area_um2 = fp.core_area_um2();
-  res.core_width_um = geom::to_um(fp.core.width());
-  res.core_height_um = geom::to_um(fp.core.height());
-  res.utilization = fp.achieved_utilization;
+  res.core_area_um2 = d.fp.core_area_um2();
+  res.core_width_um = geom::to_um(d.fp.core.width());
+  res.core_height_um = geom::to_um(d.fp.core.height());
+  res.utilization = d.fp.achieved_utilization;
 
   // --- powerplan ---------------------------------------------------------------
-  const pnr::PowerPlan pp = [&] {
-    StageClock clk(res, "powerplan");
-    return pnr::build_power_plan(nl, fp, *ctx.library);
+  d.pp = [&] {
+    StageClock clk(&res, "powerplan");
+    return pnr::build_power_plan(nl, d.fp, *ctx.library);
   }();
-  res.num_tap_cells = static_cast<int>(pp.tap_cells.size());
+  res.num_tap_cells = static_cast<int>(d.pp.tap_cells.size());
 
   // --- placement ----------------------------------------------------------------
   pnr::PlacementOptions po;
   po.seed = config.seed;
-  const pnr::PlacementResult pres = [&] {
-    StageClock clk(res, "placement");
-    return pnr::place(nl, fp, pp, po);
+  d.placement = [&] {
+    StageClock clk(&res, "placement");
+    return pnr::place(nl, d.fp, d.pp, po);
   }();
+  const pnr::PlacementResult& pres = d.placement;
   res.placement_legal = pres.legal;
   res.placement_violations = pres.violations;
   res.hpwl_um = pres.hpwl_um;
@@ -377,34 +529,35 @@ FlowResult run_physical(const DesignContext& ctx, const FlowConfig& config) {
   res.place_max_displacement_um = pres.max_displacement_um;
   // Independent signoff check of what the placer claims.
   {
-    StageClock clk(res, "placement_drc");
-    res.placement_drc =
-        static_cast<int>(pnr::check_placement(nl, fp, pp).violations.size());
+    StageClock clk(&res, "placement_drc");
+    res.placement_drc = static_cast<int>(
+        pnr::check_placement(nl, d.fp, d.pp).violations.size());
   }
 
   // --- CTS -----------------------------------------------------------------------
-  const pnr::CtsResult cts = [&] {
-    StageClock clk(res, "cts");
-    return pnr::build_clock_tree(nl, fp);
+  d.cts = [&] {
+    StageClock clk(&res, "cts");
+    return pnr::build_clock_tree(nl, d.fp);
   }();
-  res.clock_skew_ps = cts.skew_ps;
-  res.clock_latency_ps = cts.mean_latency_ps;
-  res.clock_buffers = cts.num_buffers;
+  res.clock_skew_ps = d.cts.skew_ps;
+  res.clock_latency_ps = d.cts.mean_latency_ps;
+  res.clock_buffers = d.cts.num_buffers;
 
   // Post-CTS hold fixing: pad short paths against the tree's skew before
   // routing so the post-route hold check closes.
   res.hold_buffers = [&] {
-    StageClock clk(res, "hold_fix");
-    return synth::fix_hold(nl, cts.sink_latency_ps);
+    StageClock clk(&res, "hold_fix");
+    return synth::fix_hold(nl, d.cts.sink_latency_ps);
   }();
 
   // --- routing (Algorithm 1) ------------------------------------------------------
   pnr::RouteOptions ro;
   ro.threads = threads;
-  pnr::RouteResult routes = [&] {
-    StageClock clk(res, "route");
-    return pnr::route_design(nl, fp, ro);
+  d.routes = [&] {
+    StageClock clk(&res, "route");
+    return pnr::route_design(nl, d.fp, ro);
   }();
+  const pnr::RouteResult& routes = d.routes;
   res.route_valid = routes.valid;
   res.drv = routes.drv_estimate;
   res.route_passes = routes.rrr_passes;
@@ -421,96 +574,11 @@ FlowResult run_physical(const DesignContext& ctx, const FlowConfig& config) {
   res.wirelength_back_um = routes.wirelength_back_um;
   res.num_instances = nl.num_instances();
 
-  // --- two DEFs -> merge -> dual-sided RC extraction -------------------------------
-  const io::Def merged = [&] {
-    StageClock clk(res, "def_merge");
-    const io::Def front = io::build_def(nl, routes, tech::Side::Front);
-    const io::Def back = io::build_def(nl, routes, tech::Side::Back);
-    return io::merge_defs(front, back);
-  }();
-  extract::RcNetlist rc = [&] {
-    StageClock clk(res, "extract");
-    return extract::extract_rc(merged, nl, ctx.tech(), threads);
-  }();
-
-  // Structure-size accounting (the resource section's "allocation
-  // counters"): how big the per-point data plane actually got.  Re-run
-  // after eco_signoff when the ECO reshapes the netlist/routes.
-  const auto record_structure_sizes = [&](const io::Def& def,
-                                          const extract::RcNetlist& rcn) {
-    if (!resource_on) return;
-    const long long rc_nodes = rcn.tree_node_count();
-    long long wires = 0;
-    for (const io::DefNet& n : def.nets) {
-      wires += static_cast<long long>(n.wires.size());
-    }
-    res.resource.netlist_cells = nl.num_instances();
-    res.resource.netlist_nets = nl.num_nets();
-    res.resource.rc_nodes = rc_nodes;
-    res.resource.route_grid_nodes =
-        static_cast<long long>(routes.gcols) * routes.grows;
-    res.resource.def_components = static_cast<long long>(def.components.size());
-    res.resource.def_wires = wires;
-  };
-  record_structure_sizes(merged, rc);
-
-  // --- STA + power -------------------------------------------------------------------
-  sta::StaOptions so;
-  so.clock_skew_ps = cts.skew_ps;
-  so.pi_reference_latency_ps = cts.mean_latency_ps;
-  so.threads = threads;
-  sta::Sta sta(&nl, &rc, so);
-  const sta::TimingReport timing = [&] {
-    StageClock clk(res, "sta_timing");
-    return sta.analyze_timing(&cts.sink_latency_ps);
-  }();
-  res.achieved_freq_ghz = timing.achieved_freq_ghz;
-  res.critical_path_ps = timing.critical_path_ps;
-  if (obs::verbose()) {
-    const auto worst = sta.worst_paths(1, &cts.sink_latency_ps);
-    if (!worst.empty()) {
-      const std::string ep = sta.endpoint_name(worst[0]);
-      std::printf("  [sta] signoff: worst_slack=%+.2f ps (%.3f GHz) "
-                  "endpoint=%s side_crossings=%d\n",
-                  timing.slack_ps(1000.0 / config.target_freq_ghz),
-                  timing.achieved_freq_ghz, ep.c_str(),
-                  sta.path_side_crossings(worst[0]));
-    }
-  }
-  const sta::HoldReport hold = [&] {
-    StageClock clk(res, "sta_hold");
-    return sta.analyze_hold(&cts.sink_latency_ps);
-  }();
-  res.hold_slack_ps = hold.worst_slack_ps;
-  res.hold_violations = hold.violations;
-
-  std::vector<double> toggles;
-  const std::vector<double>* toggles_ptr = nullptr;
-  if (config.simulate_activity) {
-    StageClock clk(res, "activity_sim");
-    riscv::Rv32Harness harness_like(&nl);  // drives clk/rst and memories
-    harness_like.load_program(activity_program());
-    harness_like.reset();
-    harness_like.sim().reset_activity();
-    harness_like.step(config.activity_cycles);
-    toggles.resize(static_cast<std::size_t>(nl.num_nets()), 0.0);
-    for (int n = 0; n < nl.num_nets(); ++n) {
-      toggles[static_cast<std::size_t>(n)] =
-          nl.net(n).is_clock ? 2.0 : harness_like.sim().toggle_rate(n);
-    }
-    toggles_ptr = &toggles;
-  }
-
-  const sta::PowerReport power = [&] {
-    StageClock clk(res, "power");
-    return sta.analyze_power(res.achieved_freq_ghz, toggles_ptr);
-  }();
-  res.power_uw = power.total_uw();
-  res.switching_uw = power.switching_uw;
-  res.internal_uw = power.internal_uw;
-  res.leakage_uw = power.leakage_uw;
-  res.efficiency_ghz_per_mw = power.efficiency_ghz_per_mw();
-  res.ir_drop_mv = pp.estimate_ir_drop_mv(res.power_uw);
+  // --- two DEFs -> merge -> dual-sided RC extraction -> STA + power --------------
+  d.sta_options.clock_skew_ps = d.cts.skew_ps;
+  d.sta_options.pi_reference_latency_ps = d.cts.mean_latency_ps;
+  d.sta_options.threads = threads;
+  sign_off(d, ctx, config, threads, /*after_eco=*/false);
 
   // --- post-route ECO timing closure (src/opt) -------------------------------------
   // Optional and off by default: with eco_passes == 0 nothing below runs
@@ -522,11 +590,12 @@ FlowResult run_physical(const DesignContext& ctx, const FlowConfig& config) {
     opt::EcoOptions eo;
     eo.passes = config.eco_passes;
     eo.threads = threads;
-    eo.sta = so;
+    eo.sta = d.sta_options;
     eo.route = ro;
     const opt::EcoReport eco = [&] {
-      StageClock clk(res, "eco");
-      return opt::run_eco(nl, fp, pp, routes, rc, cts.sink_latency_ps, eo);
+      StageClock clk(&res, "eco");
+      return opt::run_eco(nl, d.fp, d.pp, d.routes, d.rc,
+                          d.cts.sink_latency_ps, eo);
     }();
     res.eco_passes_run = eco.passes_run;
     res.eco_attempted = eco.attempted;
@@ -547,59 +616,8 @@ FlowResult run_physical(const DesignContext& ctx, const FlowConfig& config) {
     // reported PPA must come from the same full pipeline as every other
     // flow result).
     {
-      StageClock clk(res, "eco_signoff");
-      const io::Def eco_front = io::build_def(nl, routes, tech::Side::Front);
-      const io::Def eco_back = io::build_def(nl, routes, tech::Side::Back);
-      const io::Def eco_merged = io::merge_defs(eco_front, eco_back);
-      rc = extract::extract_rc(eco_merged, nl, ctx.tech(), threads);
-      sta::Sta eco_sta(&nl, &rc, so);
-      const sta::TimingReport eco_timing =
-          eco_sta.analyze_timing(&cts.sink_latency_ps);
-      res.achieved_freq_ghz = eco_timing.achieved_freq_ghz;
-      res.critical_path_ps = eco_timing.critical_path_ps;
-      const sta::HoldReport eco_hold =
-          eco_sta.analyze_hold(&cts.sink_latency_ps);
-      res.hold_slack_ps = eco_hold.worst_slack_ps;
-      res.hold_violations = eco_hold.violations;
-      if (obs::verbose()) {
-        const auto worst = eco_sta.worst_paths(1, &cts.sink_latency_ps);
-        if (!worst.empty()) {
-          const std::string ep = eco_sta.endpoint_name(worst[0]);
-          std::printf("  [sta] eco_signoff: worst_slack=%+.2f ps (%.3f GHz) "
-                      "endpoint=%s side_crossings=%d\n",
-                      eco_timing.slack_ps(1000.0 / config.target_freq_ghz),
-                      eco_timing.achieved_freq_ghz, ep.c_str(),
-                      eco_sta.path_side_crossings(worst[0]));
-        }
-      }
-
-      if (config.simulate_activity) {
-        // ECO buffers add nets: re-derive toggle rates on the final netlist.
-        riscv::Rv32Harness harness_like(&nl);
-        harness_like.load_program(activity_program());
-        harness_like.reset();
-        harness_like.sim().reset_activity();
-        harness_like.step(config.activity_cycles);
-        toggles.assign(static_cast<std::size_t>(nl.num_nets()), 0.0);
-        for (int n = 0; n < nl.num_nets(); ++n) {
-          toggles[static_cast<std::size_t>(n)] =
-              nl.net(n).is_clock ? 2.0 : harness_like.sim().toggle_rate(n);
-        }
-        toggles_ptr = &toggles;
-      }
-      const sta::PowerReport eco_power =
-          eco_sta.analyze_power(res.achieved_freq_ghz, toggles_ptr);
-      res.power_uw = eco_power.total_uw();
-      res.switching_uw = eco_power.switching_uw;
-      res.internal_uw = eco_power.internal_uw;
-      res.leakage_uw = eco_power.leakage_uw;
-      res.efficiency_ghz_per_mw = eco_power.efficiency_ghz_per_mw();
-      res.ir_drop_mv = pp.estimate_ir_drop_mv(res.power_uw);
-      // Iso-frequency power: the optimized design clocked at the pre-ECO
-      // frequency (the "faster at ~equal power" contract's denominator).
-      res.eco_iso_power_uw =
-          eco_sta.analyze_power(res.eco_pre_freq_ghz, toggles_ptr).total_uw();
-
+      StageClock clk(&res, "eco_signoff");
+      sign_off(d, ctx, config, threads, /*after_eco=*/true);
       // Routes, wirelength and netlist shape moved with the accepted
       // transforms.
       res.route_valid = routes.valid;
@@ -610,7 +628,6 @@ FlowResult run_physical(const DesignContext& ctx, const FlowConfig& config) {
       res.wirelength_back_um = routes.wirelength_back_um;
       res.hpwl_um = pnr::compute_hpwl_um(nl);
       res.num_instances = nl.num_instances();
-      record_structure_sizes(eco_merged, rc);
     }
     res.eco_post_freq_ghz = res.achieved_freq_ghz;
     res.eco_post_power_uw = res.power_uw;
@@ -666,7 +683,11 @@ FlowResult run_physical(const DesignContext& ctx, const FlowConfig& config) {
   FFET_METRIC_ADD("flow.points", 1);
   emit_flow_report(res);
   emit_ledger(res, threads);
-  return res;
+  return d;
+}
+
+FlowResult run_physical(const DesignContext& ctx, const FlowConfig& config) {
+  return run_physical_design(ctx, config).result;
 }
 
 FlowResult run_flow(const FlowConfig& config) {

@@ -30,9 +30,12 @@
 #include <vector>
 
 #include "extract/extract.h"
+#include "io/def.h"
 #include "netlist/netlist.h"
 #include "pnr/cts.h"
+#include "pnr/floorplan.h"
 #include "pnr/placement.h"
+#include "pnr/powerplan.h"
 #include "pnr/router.h"
 #include "sta/sta.h"
 #include "stdcell/stdcell.h"
@@ -98,6 +101,13 @@ struct FlowConfig {
 
   std::string label() const;
 };
+
+/// Check `config` against the ranges the flow accepts; "" when it is
+/// runnable, else one sentence naming the first bad field.  Every entry
+/// point that takes a config from outside the program (the CLIs' flags,
+/// the sweep service's config codec) calls this first, so a bad knob is a
+/// usage error instead of an exception thrown from deep inside a stage.
+std::string validate_config(const FlowConfig& config);
 
 /// Resolve the ledger sink path shared by the flow emitter, the bench
 /// wrapper and the ffet_report CLI: `explicit_path` if non-empty, else the
@@ -261,8 +271,36 @@ struct FlowResult {
   bool valid() const { return placement_legal && route_valid; }
 };
 
-/// Run floorplan → STA on a prepared design.  The context is not modified
-/// (the netlist is copied for tap cells / CTS buffers).
+/// One run of the physical stages with everything it built kept alive:
+/// the signed-off design (post-ECO when the ECO ran) and the result
+/// computed from it.  `merged` is the front+back DEF merge that `rc` was
+/// extracted from, and `sta_options` + `cts.sink_latency_ps` rebuild the
+/// signoff Sta, so reports and dumps describe exactly the design whose PPA
+/// `result` reports.  The library the netlist's cells point into belongs
+/// to the DesignContext, which must outlive this.
+struct PhysicalDesign {
+  FlowResult result;
+  netlist::Netlist nl;  ///< placed: taps, CTS + hold buffers, ECO edits
+  pnr::Floorplan fp;
+  pnr::PowerPlan pp;
+  pnr::PlacementResult placement;
+  pnr::CtsResult cts;
+  pnr::RouteResult routes;
+  io::Def merged;
+  extract::RcNetlist rc;
+  sta::StaOptions sta_options;
+
+  explicit PhysicalDesign(const netlist::Netlist& synthesized)
+      : nl(synthesized) {}
+};
+
+/// Run floorplan → STA (→ ECO → re-signoff) on a prepared design.  The
+/// context is not modified (the netlist is copied for tap cells / CTS
+/// buffers).  This is the only code that sequences the physical stages.
+PhysicalDesign run_physical_design(const DesignContext& ctx,
+                                   const FlowConfig& config);
+
+/// run_physical_design, keeping only the result.
 FlowResult run_physical(const DesignContext& ctx, const FlowConfig& config);
 
 /// Convenience: prepare + run.

@@ -1,5 +1,7 @@
 #include "serve/config_codec.h"
 
+#include <cmath>
+#include <limits>
 #include <type_traits>
 #include <utility>
 
@@ -16,11 +18,28 @@ bool set_error(std::string* error, std::string msg) {
 
 bool read_field(const std::string& key, const Value& v, flow::FlowConfig& cfg,
                 std::string* error) {
+  // Numbers are range-checked before the cast: converting a non-finite,
+  // fractional or out-of-range double to an integer type is undefined.
   const auto num = [&](auto& dst) {
+    using T = std::remove_reference_t<decltype(dst)>;
     if (!v.is_number()) {
       return set_error(error, "config field \"" + key + "\" must be a number");
     }
-    dst = static_cast<std::remove_reference_t<decltype(dst)>>(v.number);
+    const double x = v.number;
+    if (!std::isfinite(x)) {
+      return set_error(error, "config field \"" + key + "\" must be finite");
+    }
+    if constexpr (std::is_integral_v<T>) {
+      using Lim = std::numeric_limits<T>;
+      if (x != std::trunc(x) || x < static_cast<double>(Lim::min()) ||
+          x > static_cast<double>(Lim::max())) {
+        return set_error(error, "config field \"" + key +
+                                    "\" must be an integer in [" +
+                                    std::to_string(Lim::min()) + ", " +
+                                    std::to_string(Lim::max()) + "]");
+      }
+    }
+    dst = static_cast<T>(x);
     return true;
   };
   const auto str = [&](std::string& dst) {
@@ -84,6 +103,12 @@ std::optional<flow::FlowConfig> config_from_json(const Value& obj,
   flow::FlowConfig cfg;
   for (const auto& [key, v] : obj.members) {
     if (!read_field(key, v, cfg, error)) return std::nullopt;
+  }
+  // A config the flow would throw on is the client's error, answered here
+  // rather than by a worker dying on it.
+  if (std::string bad = flow::validate_config(cfg); !bad.empty()) {
+    set_error(error, std::move(bad));
+    return std::nullopt;
   }
   return cfg;
 }

@@ -23,7 +23,9 @@
 namespace ffet::serve {
 
 /// Parse one config object ({"tech":"ffet",...}).  nullopt + `error` on a
-/// type mismatch or unknown field.
+/// type mismatch, an unknown field, a number its field cannot hold
+/// (non-finite, fractional for an integer field, out of the type's range)
+/// or a config flow::validate_config rejects.
 std::optional<flow::FlowConfig> config_from_json(
     const report::json::Value& obj, std::string* error = nullptr);
 

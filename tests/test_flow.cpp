@@ -4,8 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <string>
+#include <vector>
+
 #include "flow/flow.h"
 #include "flow/report_json.h"
+#include "obs/resource.h"
 
 namespace ffet::flow {
 namespace {
@@ -185,6 +190,73 @@ TEST_F(FlowTest, PreparedContextReflectsPinConfig) {
   EXPECT_NEAR(ffet_ctx_->realized_backside_pin_fraction, 0.5, 0.05);
   EXPECT_DOUBLE_EQ(cfet_ctx_->realized_backside_pin_fraction, 0.0);
   EXPECT_GT(ffet_ctx_->synth.est_freq_ghz, 0.0);
+}
+
+TEST_F(FlowTest, PhysicalDesignArtifactsMatchTheResult) {
+  // The artifacts run_physical_design hands back are the signed-off design
+  // the result was computed from — before and after the ECO rewrites it —
+  // and the stage ledger times every step exactly once.
+  obs::set_resource(true);  // the structure-size counters need the probe
+  const std::vector<std::string> signoff_stages = {
+      "floorplan", "powerplan",  "placement", "placement_drc",
+      "cts",       "hold_fix",   "route",     "def_merge",
+      "extract",   "sta_timing", "sta_hold",  "power"};
+  for (const int eco_passes : {0, 2}) {
+    FlowConfig cfg = ffet_ctx_->config;
+    cfg.eco_passes = eco_passes;
+    const PhysicalDesign d = run_physical_design(*ffet_ctx_, cfg);
+    const FlowResult& r = d.result;
+    SCOPED_TRACE("eco_passes=" + std::to_string(eco_passes));
+    ASSERT_TRUE(r.valid());
+    ASSERT_TRUE(r.resource.sampled);
+    EXPECT_EQ(r.eco_passes_run, eco_passes) << "the ECO must have run";
+    EXPECT_EQ(static_cast<long long>(d.merged.components.size()),
+              r.resource.def_components);
+    EXPECT_EQ(d.rc.tree_node_count(), r.resource.rc_nodes);
+    EXPECT_EQ(d.nl.num_instances(), r.num_instances);
+
+    std::vector<std::string> stages;
+    for (const StageTiming& st : r.stage_times) stages.push_back(st.stage);
+    std::vector<std::string> expected = signoff_stages;
+    if (eco_passes > 0) {
+      expected.push_back("eco");
+      expected.push_back("eco_signoff");
+    }
+    EXPECT_EQ(stages, expected);
+  }
+}
+
+TEST(ValidateConfig, AcceptsRunnableAndRejectsWhatTheFlowThrowsOn) {
+  EXPECT_EQ(validate_config(FlowConfig{}), "");
+  FlowConfig small = small_config();
+  small.backside_input_fraction = 0.5;
+  EXPECT_EQ(validate_config(small), "");
+
+  using Mut = void (*)(FlowConfig&);
+  const Mut bad[] = {
+      [](FlowConfig& c) { c.rv32_registers = 3; },
+      [](FlowConfig& c) { c.rv32_registers = 0; },
+      [](FlowConfig& c) { c.rv32_registers = 64; },
+      [](FlowConfig& c) { c.utilization = 0.0; },
+      [](FlowConfig& c) { c.utilization = 1.5; },
+      [](FlowConfig& c) { c.utilization = std::nan(""); },
+      [](FlowConfig& c) { c.aspect_ratio = -1.0; },
+      [](FlowConfig& c) { c.target_freq_ghz = 0.0; },
+      [](FlowConfig& c) { c.backside_input_fraction = 1.5; },
+      [](FlowConfig& c) {
+        c.tech_kind = tech::TechKind::Cfet4T;
+        c.backside_input_fraction = 0.5;
+      },
+      [](FlowConfig& c) {
+        c.back_layers = 0;
+        c.backside_input_fraction = 0.5;
+      },
+  };
+  for (const Mut mutate : bad) {
+    FlowConfig c;
+    mutate(c);
+    EXPECT_NE(validate_config(c), "") << c.label();
+  }
 }
 
 TEST_F(FlowTest, JsonReportWellFormed) {

@@ -27,7 +27,6 @@
 #include "report/net_report.h"
 #include "report/qor.h"
 #include "report/serve_stats.h"
-#include "report/snapshot.h"
 #include "report/timing_report.h"
 #include "sta/sta.h"
 
@@ -784,16 +783,21 @@ class ReportFlowTest : public ::testing::Test {
     cfg.backside_input_fraction = 0.5;
     cfg.rv32_registers = 8;  // reduced core, same as test_flow
     cfg.utilization = 0.65;
-    snap_ = build_snapshot(cfg).release();
+    ctx_ = flow::prepare_design(cfg).release();
+    snap_ = new flow::PhysicalDesign(flow::run_physical_design(*ctx_, cfg));
   }
   static void TearDownTestSuite() {
     delete snap_;
+    delete ctx_;
     snap_ = nullptr;
+    ctx_ = nullptr;
   }
-  static Snapshot* snap_;
+  static flow::DesignContext* ctx_;  ///< owns the library snap_'s cells use
+  static flow::PhysicalDesign* snap_;
 };
 
-Snapshot* ReportFlowTest::snap_ = nullptr;
+flow::DesignContext* ReportFlowTest::ctx_ = nullptr;
+flow::PhysicalDesign* ReportFlowTest::snap_ = nullptr;
 
 TEST_F(ReportFlowTest, WorstPathIsBitIdenticalToStaCriticalPath) {
   sta::Sta sta(&snap_->nl, &snap_->rc, snap_->sta_options);

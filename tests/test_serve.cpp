@@ -19,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -56,18 +57,19 @@ flow::FlowConfig small_config(double util = 0.5) {
   return cfg;
 }
 
-/// A config with every field moved off its default — the round-trip test
-/// must prove each one survives the wire.
+/// A runnable config with every field moved off its default — the
+/// round-trip test must prove each one survives the wire.  CFET cells have
+/// no backside pins, so the tech field moves off its default in a second
+/// config (see RoundTripsEveryField).
 flow::FlowConfig exotic_config() {
   flow::FlowConfig cfg;
-  cfg.tech_kind = tech::TechKind::Cfet4T;
   cfg.front_layers = 10;
   cfg.back_layers = 7;
   cfg.backside_input_fraction = 0.375;
   cfg.target_freq_ghz = 2.25;
   cfg.utilization = 0.63;
   cfg.aspect_ratio = 1.5;
-  cfg.rv32_registers = 12;
+  cfg.rv32_registers = 16;
   cfg.seed = 77;
   cfg.simulate_activity = true;
   cfg.activity_cycles = 123;
@@ -140,33 +142,37 @@ struct EnvGuard {
 // ---------------------------------------------------------------------------
 
 TEST(ConfigJson, RoundTripsEveryField) {
-  const flow::FlowConfig cfg = exotic_config();
-  const std::string json = flow::config_to_json(cfg);
-  std::string error;
-  const auto back = serve::configs_from_json_text("[" + json + "]", &error);
-  ASSERT_TRUE(back.has_value()) << error;
-  ASSERT_EQ(back->size(), 1u);
-  const flow::FlowConfig& b = (*back)[0];
-  EXPECT_EQ(b.tech_kind, cfg.tech_kind);
-  EXPECT_EQ(b.front_layers, cfg.front_layers);
-  EXPECT_EQ(b.back_layers, cfg.back_layers);
-  EXPECT_EQ(b.backside_input_fraction, cfg.backside_input_fraction);
-  EXPECT_EQ(b.target_freq_ghz, cfg.target_freq_ghz);
-  EXPECT_EQ(b.utilization, cfg.utilization);
-  EXPECT_EQ(b.aspect_ratio, cfg.aspect_ratio);
-  EXPECT_EQ(b.rv32_registers, cfg.rv32_registers);
-  EXPECT_EQ(b.seed, cfg.seed);
-  EXPECT_EQ(b.simulate_activity, cfg.simulate_activity);
-  EXPECT_EQ(b.activity_cycles, cfg.activity_cycles);
-  EXPECT_EQ(b.eco_passes, cfg.eco_passes);
-  EXPECT_EQ(b.threads, cfg.threads);
-  EXPECT_EQ(b.trace_path, cfg.trace_path);
-  EXPECT_EQ(b.flow_report_path, cfg.flow_report_path);
-  EXPECT_EQ(b.ledger_path, cfg.ledger_path);
-  // The service cache key must survive the wire byte-exactly.
-  EXPECT_EQ(b.label(), cfg.label());
-  // And a second serialization must be byte-stable (cache keys, dedup).
-  EXPECT_EQ(flow::config_to_json(b), json);
+  flow::FlowConfig cfet = exotic_config();
+  cfet.tech_kind = tech::TechKind::Cfet4T;
+  cfet.backside_input_fraction = 0.0;
+  for (const flow::FlowConfig& cfg : {exotic_config(), cfet}) {
+    const std::string json = flow::config_to_json(cfg);
+    std::string error;
+    const auto back = serve::configs_from_json_text("[" + json + "]", &error);
+    ASSERT_TRUE(back.has_value()) << error;
+    ASSERT_EQ(back->size(), 1u);
+    const flow::FlowConfig& b = (*back)[0];
+    EXPECT_EQ(b.tech_kind, cfg.tech_kind);
+    EXPECT_EQ(b.front_layers, cfg.front_layers);
+    EXPECT_EQ(b.back_layers, cfg.back_layers);
+    EXPECT_EQ(b.backside_input_fraction, cfg.backside_input_fraction);
+    EXPECT_EQ(b.target_freq_ghz, cfg.target_freq_ghz);
+    EXPECT_EQ(b.utilization, cfg.utilization);
+    EXPECT_EQ(b.aspect_ratio, cfg.aspect_ratio);
+    EXPECT_EQ(b.rv32_registers, cfg.rv32_registers);
+    EXPECT_EQ(b.seed, cfg.seed);
+    EXPECT_EQ(b.simulate_activity, cfg.simulate_activity);
+    EXPECT_EQ(b.activity_cycles, cfg.activity_cycles);
+    EXPECT_EQ(b.eco_passes, cfg.eco_passes);
+    EXPECT_EQ(b.threads, cfg.threads);
+    EXPECT_EQ(b.trace_path, cfg.trace_path);
+    EXPECT_EQ(b.flow_report_path, cfg.flow_report_path);
+    EXPECT_EQ(b.ledger_path, cfg.ledger_path);
+    // The service cache key must survive the wire byte-exactly.
+    EXPECT_EQ(b.label(), cfg.label());
+    // And a second serialization must be byte-stable (cache keys, dedup).
+    EXPECT_EQ(flow::config_to_json(b), json);
+  }
 }
 
 TEST(ConfigJson, EveryLabelKnobSurvivesTheWire) {
@@ -183,7 +189,7 @@ TEST(ConfigJson, EveryLabelKnobSurvivesTheWire) {
       [](flow::FlowConfig& c) { c.backside_input_fraction = 0.75; },
       [](flow::FlowConfig& c) { c.target_freq_ghz = 3.5; },
       [](flow::FlowConfig& c) { c.utilization = 0.81; },
-      [](flow::FlowConfig& c) { c.rv32_registers = 24; },
+      [](flow::FlowConfig& c) { c.rv32_registers = 16; },
       [](flow::FlowConfig& c) { c.seed = 99; },
       [](flow::FlowConfig& c) { c.eco_passes = 4; },
   };
@@ -217,6 +223,35 @@ TEST(ConfigJson, TypeMismatchIsRejected) {
       serve::configs_from_json_text(R"([{"tech":3.5}])", &error).has_value());
   EXPECT_FALSE(serve::configs_from_json_text(R"({"tech":"ffet"})", &error)
                    .has_value());  // object, not array
+}
+
+TEST(ConfigJson, OutOfRangeNumbersAreRejected) {
+  // Numbers a field cannot hold, and configs the flow would throw on, are
+  // decode errors: an error string back, never a throw and never a cast
+  // with undefined behaviour.
+  for (const char* text :
+       {R"([{"rv32_registers":3}])", R"([{"rv32_registers":1e30}])",
+        R"([{"rv32_registers":8.5}])", R"([{"seed":-1}])",
+        R"([{"seed":1e10}])", R"([{"utilization":1.5}])",
+        R"([{"tech":"cfet","backside_input_fraction":0.5}])"}) {
+    std::string error;
+    std::optional<std::vector<flow::FlowConfig>> cfgs;
+    EXPECT_NO_THROW(cfgs = serve::configs_from_json_text(text, &error))
+        << text;
+    EXPECT_FALSE(cfgs.has_value()) << text;
+    EXPECT_FALSE(error.empty()) << text;
+  }
+
+  // JSON text cannot spell NaN; a decoded value can still carry one.
+  report::json::Value nan;
+  nan.kind = report::json::Value::Kind::Number;
+  nan.number = std::nan("");
+  report::json::Value obj;
+  obj.kind = report::json::Value::Kind::Object;
+  obj.members.emplace_back("utilization", nan);
+  std::string error;
+  EXPECT_FALSE(serve::config_from_json(obj, &error).has_value());
+  EXPECT_NE(error.find("utilization"), std::string::npos) << error;
 }
 
 TEST(ConfigJson, AbsentFieldsKeepDefaults) {
@@ -694,6 +729,33 @@ TEST(Serve, BadSubmissionGetsErrorNotHang) {
   EXPECT_NE(reply->payload.find("bogus_knob"), std::string::npos);
   ::close(fd);
   server.stop();
+}
+
+TEST(Serve, InvalidConfigIsClientErrorNotWorkerDeath) {
+  // rv32_registers = 3 throws inside prepare_design; the daemon must answer
+  // it as a bad submission before any worker sees it.
+  const std::string sock = scratch("sock");
+  std::remove(sock.c_str());
+  serve::ServeOptions opts;
+  opts.socket_path = sock;
+  opts.cache_dir.clear();
+  opts.workers = 1;
+  serve::Server server(opts);
+  std::string error;
+  ASSERT_TRUE(server.start(&error)) << error;
+
+  const int fd = serve::connect_unix(sock, &error);
+  ASSERT_GE(fd, 0) << error;
+  ASSERT_TRUE(serve::write_frame(fd, serve::FrameType::kSubmit,
+                                 "[{\"rv32_registers\":3}]"));
+  const auto reply = serve::read_frame(fd);
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_EQ(reply->type, serve::FrameType::kError);
+  EXPECT_NE(reply->payload.find("rv32_registers"), std::string::npos);
+  ::close(fd);
+  server.stop();
+  EXPECT_EQ(server.stats().worker_deaths, 0);
+  EXPECT_EQ(server.stats().flow_runs, 0);
 }
 
 // ---------------------------------------------------------------------------
