@@ -558,6 +558,23 @@ PhysicalDesign run_physical_design(const DesignContext& ctx,
     return pnr::route_design(nl, d.fp, ro);
   }();
   const pnr::RouteResult& routes = d.routes;
+  if (obs::verbose()) {
+    for (const pnr::RoutePassStat& ps : routes.pass_stats) {
+      for (int s = 0; s < 2; ++s) {
+        const bool f = s == 0;
+        std::printf(
+            "  [route] pass=%d side=%s %s=%d regions=%d repaired=%d "
+            "overflow_total=%.1f hard=%.1f settled=%ld expansions=%d\n",
+            ps.pass, f ? "front" : "back", ps.pass == 0 ? "routed" : "ripups",
+            f ? ps.ripped_front : ps.ripped_back,
+            f ? ps.regions_front : ps.regions_back,
+            f ? ps.repaired_front : ps.repaired_back,
+            f ? ps.overflow_front : ps.overflow_back, ps.hard_overflow,
+            f ? ps.settled_front : ps.settled_back,
+            f ? ps.window_expansions_front : ps.window_expansions_back);
+      }
+    }
+  }
   res.route_valid = routes.valid;
   res.drv = routes.drv_estimate;
   res.route_passes = routes.rrr_passes;

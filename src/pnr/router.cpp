@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <limits>
 #include <numeric>
@@ -751,15 +750,15 @@ std::vector<SubNet> decompose_subnets(const Netlist& nl,
   return subnets;
 }
 
-/// Route one subnet on its side's grid and commit the usage (the shared
-/// inner kernel of route_design and reroute_nets).
-void route_one_subnet(RouteEngine engine, const RouteOptions& options,
-                      std::vector<SubNet>& subnets,
+/// Route one subnet on its side's grid and commit the usage (the inner
+/// kernel of the stage-1 loop, negotiate_subnets).
+void route_one_subnet(const RouteOptions& options,
+                      const std::vector<SubNet>& subnets,
                       std::array<SideGrid, 2>& grids,
                       std::array<PathRouter, 2>& routers,
                       std::vector<std::vector<GEdge>>& route_edges,
                       std::size_t si) {
-  SubNet& sn = subnets[si];
+  const SubNet& sn = subnets[si];
   SideGrid& g = grids[static_cast<std::size_t>(sidx(sn.side))];
   PathRouter& pr = routers[static_cast<std::size_t>(sidx(sn.side))];
   std::vector<GEdge>& edges = route_edges[si];
@@ -780,7 +779,7 @@ void route_one_subnet(RouteEngine engine, const RouteOptions& options,
   for (int sink : todo) {
     if (pr.in_tree(sink)) continue;
     const std::vector<int> path =
-        engine == RouteEngine::Legacy
+        options.engine == RouteEngine::Legacy
             ? pr.connect_legacy(tree, sink)
             : pr.connect_astar(tree, sink, options.window_margin);
     for (std::size_t i = 0; i + 1 < path.size(); ++i) {
@@ -832,6 +831,166 @@ void decay_history(SideGrid& g) {
     g.v_hist[i] *= kHistoryDecay;
     const double o = g.v_base[i] + g.v_use[i] - g.v_cap;
     if (o > 0) g.v_hist[i] += kHistoryGain * o / g.v_cap;
+  }
+}
+
+/// Run fn(0) and fn(1) — the frontside and the backside — concurrently
+/// when threads > 1, else serially front then back.  Algorithm 1 makes the
+/// sides independent: every caller touches only side s's grid, router and
+/// subnets inside fn(s), so both schedules compute identical state.
+template <typename Fn>
+void for_each_side(int threads, Fn&& fn) {
+  if (threads > 1) {
+    runtime::parallel_invoke(threads, [&] { fn(0); }, [&] { fn(1); });
+  } else {
+    fn(0);
+    fn(1);
+  }
+}
+
+/// Append one pass's convergence record (shared by every engine).  The
+/// caller fills the pass number and the per-side ripped / region / repair
+/// counts; the overflows are read from the grids (O(1): maintained
+/// incrementally, so the pass barrier never rescans an edge), and the
+/// search-effort counters are what each side's router settled and expanded
+/// since the previous record — the records always sum to the totals.
+void record_pass(RouteResult& res, RoutePassStat ps,
+                 const std::array<SideGrid, 2>& grids,
+                 const std::array<PathRouter, 2>& routers) {
+  ps.overflow_front = grids[0].overflow();
+  ps.overflow_back = grids[1].overflow();
+  ps.hard_overflow = grids[0].hard_overflow() + grids[1].hard_overflow();
+  std::array<long, 2> settled{routers[0].settled, routers[1].settled};
+  std::array<long, 2> expansions{routers[0].expansions, routers[1].expansions};
+  for (const RoutePassStat& p : res.pass_stats) {
+    settled[0] -= p.settled_front;
+    settled[1] -= p.settled_back;
+    expansions[0] -= p.window_expansions_front;
+    expansions[1] -= p.window_expansions_back;
+  }
+  ps.settled_front = settled[0];
+  ps.settled_back = settled[1];
+  ps.window_expansions_front = static_cast<int>(expansions[0]);
+  ps.window_expansions_back = static_cast<int>(expansions[1]);
+  res.pass_stats.push_back(ps);
+}
+
+/// The best negotiated state seen so far — lowest hard overflow, ties
+/// broken by lower total soft overflow — and the number of stale passes
+/// since it last improved.  Negotiation is not monotone, so both loops
+/// restore the best state at the end.
+struct BestSoFar {
+  double hard = 0.0;
+  double soft = 0.0;
+  int stale = 0;
+
+  explicit BestSoFar(const RoutePassStat& ps)
+      : hard(ps.hard_overflow), soft(ps.overflow_front + ps.overflow_back) {}
+
+  /// Fold in a newly recorded pass; true when it is the new best.
+  bool update(const RoutePassStat& ps) {
+    const double s = ps.overflow_front + ps.overflow_back;
+    if (ps.hard_overflow < hard || (ps.hard_overflow == hard && s < soft)) {
+      hard = ps.hard_overflow;
+      soft = s;
+      stale = 0;
+      return true;
+    }
+    ++stale;
+    return false;
+  }
+};
+
+/// The stage-1 route loop (Legacy / Astar), shared by the full route and
+/// the ECO reroute: route the `todo` subnets short-first on each side, then
+/// negotiate — decay history, bump it on overflowed edges, rip up and
+/// reroute every todo subnet crossing one.  Subnets outside `todo` stay
+/// committed as they are (the reroute's pinned routes).  The best solution
+/// seen (by hard overflow, then total overflow) is restored at the end —
+/// negotiation is not monotone.  Fills route_edges and the res counters;
+/// the caller finalizes.
+void negotiate_subnets(RouteResult& res, const RouteOptions& options,
+                       const std::vector<SubNet>& subnets,
+                       std::array<SideGrid, 2>& grids,
+                       std::array<PathRouter, 2>& routers,
+                       std::vector<std::vector<GEdge>>& route_edges,
+                       std::vector<std::size_t> todo) {
+  // Route order: short nets first (they have the least flexibility), split
+  // into per-side subsequences.  A subnet only ever touches its own side's
+  // grid and router, so each side preserving its in-order subsequence makes
+  // any interleaving produce the same grids as one serial pass.
+  std::sort(todo.begin(), todo.end(), [&](std::size_t a, std::size_t b) {
+    if (subnets[a].hpwl != subnets[b].hpwl) {
+      return subnets[a].hpwl < subnets[b].hpwl;
+    }
+    return subnets[a].net < subnets[b].net;
+  });
+  std::array<std::vector<std::size_t>, 2> side_order;
+  for (std::size_t si : todo) {
+    side_order[static_cast<std::size_t>(sidx(subnets[si].side))].push_back(si);
+  }
+  auto route_one = [&](std::size_t si) {
+    route_one_subnet(options, subnets, grids, routers, route_edges, si);
+  };
+
+  for_each_side(options.threads, [&](int s) {
+    FFET_TRACE_SCOPE("route.initial.", s == 0 ? "front" : "back");
+    for (std::size_t si : side_order[static_cast<std::size_t>(s)]) {
+      route_one(si);
+    }
+  });
+
+  std::vector<std::vector<GEdge>> best_routes = route_edges;
+  record_pass(res,
+              {.pass = 0,
+               .ripped_front = static_cast<int>(side_order[0].size()),
+               .ripped_back = static_cast<int>(side_order[1].size())},
+              grids, routers);
+  BestSoFar best(res.pass_stats.back());
+  for (int pass = 1;
+       pass < options.rrr_passes && best.hard > 0.0 && best.stale < 6;
+       ++pass) {
+    // Each side negotiates its pass independently: decay its history,
+    // rebuild its edge-cost cache, find its overflowing subnets (in its
+    // short-first order), rip them all, reroute them all.  The pass
+    // barrier below (best tracking, convergence record) is serial.
+    std::array<std::size_t, 2> ripped_counts{0, 0};
+    for_each_side(options.threads, [&](int s) {
+      FFET_TRACE_SCOPE("route.pass.", pass, s == 0 ? ".front" : ".back");
+      const auto sz = static_cast<std::size_t>(s);
+      decay_history(grids[sz]);
+      grids[sz].rebuild_costs();
+      std::vector<std::size_t> ripped;
+      for (std::size_t si : side_order[sz]) {
+        if (subnet_crosses_overflow(subnets, grids, route_edges, si)) {
+          ripped.push_back(si);
+        }
+      }
+      for (std::size_t si : ripped) commit(grids[sz], route_edges[si], -1.0);
+      for (std::size_t si : ripped) route_one(si);
+      ripped_counts[sz] = ripped.size();
+    });
+    if (ripped_counts[0] + ripped_counts[1] == 0) break;
+    res.rrr_passes = pass;
+    res.ripups_total += static_cast<long>(ripped_counts[0] + ripped_counts[1]);
+    FFET_METRIC_OBSERVE("route.ripups_per_pass",
+                        ripped_counts[0] + ripped_counts[1]);
+
+    record_pass(res,
+                {.pass = pass,
+                 .ripped_front = static_cast<int>(ripped_counts[0]),
+                 .ripped_back = static_cast<int>(ripped_counts[1])},
+                grids, routers);
+    if (best.update(res.pass_stats.back())) best_routes = route_edges;
+  }
+  // Restore the best solution (usage arrays included, for diagnostics).
+  if (best_routes != route_edges) {
+    for (SideGrid& g : grids) g.clear_use();
+    route_edges = std::move(best_routes);
+    for (std::size_t si = 0; si < subnets.size(); ++si) {
+      commit(grids[static_cast<std::size_t>(sidx(subnets[si].side))],
+             route_edges[si], +1.0);
+    }
   }
 }
 
@@ -1136,14 +1295,8 @@ void route_astar2(RouteResult& res, const RouteOptions& options,
   }
 
   // --- initial route: short 2-pin subnets first ----------------------------
-  const bool concurrent_sides = options.threads > 1;
   std::array<long, 2> fastpath{0, 0};
-  // Search-effort marks captured *before* the initial route so the pass-0
-  // record shows its real settled/expansion counts.
-  std::array<long, 2> settled_mark{routers[0].settled, routers[1].settled};
-  std::array<long, 2> expansions_mark{routers[0].expansions,
-                                      routers[1].expansions};
-  auto route_side_initial = [&](int s) {
+  for_each_side(options.threads, [&](int s) {
     FFET_TRACE_SCOPE("route.initial.", s == 0 ? "front" : "back");
     const auto sz = static_cast<std::size_t>(s);
     for (std::size_t t : sides[sz].route_order) {
@@ -1152,14 +1305,7 @@ void route_astar2(RouteResult& res, const RouteOptions& options,
                           sides[sz].tps[t], fastpath[sz]);
       commit_tp(grids[sz], sides[sz], edge_refs, t, std::move(path));
     }
-  };
-  if (concurrent_sides) {
-    runtime::parallel_invoke(options.threads, [&] { route_side_initial(0); },
-                             [&] { route_side_initial(1); });
-  } else {
-    route_side_initial(0);
-    route_side_initial(1);
-  }
+  });
 
   // --- hard-overflow repair -------------------------------------------------
   // The Steiner topology is fixed before congestion is known, so some
@@ -1172,7 +1318,9 @@ void route_astar2(RouteResult& res, const RouteOptions& options,
   // (deterministic) negotiated state: bit-identical at any thread count,
   // and monotone — hard overflow can only decrease.  Running it right
   // after the initial route pulls hard overflow down to (near) its
-  // structural floor before any negotiation pass is paid for.
+  // structural floor before any negotiation pass is paid for.  Every
+  // accepted repair is a rip-up: it counts into ripups_total and into the
+  // `repaired` field of the pass record that follows the repair.
   auto crosses_hard = [](const SideGrid& g, const std::vector<int>& path) {
     for (std::size_t i = 0; i + 1 < path.size(); ++i) {
       const auto [dir, e] = edge_key(g, path[i], path[i + 1]);
@@ -1199,6 +1347,7 @@ void route_astar2(RouteResult& res, const RouteOptions& options,
     SideGrid& g = grids[sz];
     TwoPinSide& ts = sides[sz];
     PathRouter& pr = routers[sz];
+    int repaired = 0;
     for (int round = 0; round < 6 && g.hard_overflow() > 0.0; ++round) {
       bool improved = false;
       for (std::size_t t = 0; t < ts.tps.size(); ++t) {
@@ -1225,7 +1374,7 @@ void route_astar2(RouteResult& res, const RouteOptions& options,
         }
         if (accepted) {
           improved = true;
-          ++res.ripups_total;
+          ++repaired;
         } else {
           commit_tp(g, ts, edge_refs, t, std::move(old_path));
           repair_fail_at[sz][t] = g.hard_overflow();
@@ -1233,14 +1382,13 @@ void route_astar2(RouteResult& res, const RouteOptions& options,
       }
       if (!improved) break;
     }
+    res.ripups_total += repaired;
+    return repaired;
   };
-  repair_hard(0);
-  repair_hard(1);
+  const int repaired_front = repair_hard(0);
+  const int repaired_back = repair_hard(1);
 
   // --- region-negotiated rip-up-and-reroute --------------------------------
-  auto total_hard = [&] {
-    return grids[0].hard_overflow() + grids[1].hard_overflow();
-  };
   // The structural hard floor: pin base demand alone already past the hard
   // capacity.  No rip-up or reroute can get below it, so negotiating
   // toward zero when the floor is positive only burns stale passes against
@@ -1257,53 +1405,14 @@ void route_astar2(RouteResult& res, const RouteOptions& options,
   std::array<std::vector<std::vector<int>>, 2> best_paths{sides[0].paths,
                                                           sides[1].paths};
   bool current_is_best = true;
-  double best_hard = total_hard();
-  double best_soft_front = grids[0].overflow();
-  double best_soft_back = grids[1].overflow();
-  double best_soft = best_soft_front + best_soft_back;
-  int stale_passes = 0;
-
-  auto record_pass = [&](int pass, std::size_t ripped_front,
-                         std::size_t ripped_back, double soft_front,
-                         double soft_back, double hard, int regions_front,
-                         int regions_back) {
-    RoutePassStat ps;
-    ps.pass = pass;
-    ps.ripped_front = static_cast<int>(ripped_front);
-    ps.ripped_back = static_cast<int>(ripped_back);
-    ps.overflow_front = soft_front;
-    ps.overflow_back = soft_back;
-    ps.hard_overflow = hard;
-    ps.settled_front = routers[0].settled - settled_mark[0];
-    ps.settled_back = routers[1].settled - settled_mark[1];
-    ps.window_expansions_front =
-        static_cast<int>(routers[0].expansions - expansions_mark[0]);
-    ps.window_expansions_back =
-        static_cast<int>(routers[1].expansions - expansions_mark[1]);
-    ps.regions_front = regions_front;
-    ps.regions_back = regions_back;
-    settled_mark[0] = routers[0].settled;
-    settled_mark[1] = routers[1].settled;
-    expansions_mark[0] = routers[0].expansions;
-    expansions_mark[1] = routers[1].expansions;
-    if (obs::verbose()) {
-      for (int s = 0; s < 2; ++s) {
-        std::printf(
-            "  [route2] pass=%d side=%s %s=%d regions=%d overflow_total=%.1f "
-            "hard=%.1f settled=%ld expansions=%d\n",
-            pass, s == 0 ? "front" : "back",
-            pass == 0 ? "routed" : "ripups",
-            s == 0 ? ps.ripped_front : ps.ripped_back,
-            s == 0 ? ps.regions_front : ps.regions_back,
-            s == 0 ? ps.overflow_front : ps.overflow_back, ps.hard_overflow,
-            s == 0 ? ps.settled_front : ps.settled_back,
-            s == 0 ? ps.window_expansions_front : ps.window_expansions_back);
-      }
-    }
-    res.pass_stats.push_back(ps);
-  };
-  record_pass(0, sides[0].tps.size(), sides[1].tps.size(), best_soft_front,
-              best_soft_back, best_hard, 0, 0);
+  record_pass(res,
+              {.pass = 0,
+               .ripped_front = static_cast<int>(sides[0].tps.size()),
+               .ripped_back = static_cast<int>(sides[1].tps.size()),
+               .repaired_front = repaired_front,
+               .repaired_back = repaired_back},
+              grids, routers);
+  BestSoFar best(res.pass_stats.back());
 
   std::array<std::size_t, 2> ripped_counts{0, 0};
   std::array<int, 2> region_counts{0, 0};
@@ -1455,21 +1564,15 @@ void route_astar2(RouteResult& res, const RouteOptions& options,
   };
 
   for (int pass = 1; pass < options.rrr_passes &&
-                     best_hard > hard_floor + 1e-9 && stale_passes < 6;
+                     best.hard > hard_floor + 1e-9 && best.stale < 6;
        ++pass) {
-    if (concurrent_sides) {
-      runtime::parallel_invoke(options.threads, [&] { pass_side(0, pass); },
-                               [&] { pass_side(1, pass); });
-    } else {
-      pass_side(0, pass);
-      pass_side(1, pass);
-    }
+    for_each_side(options.threads, [&](int s) { pass_side(s, pass); });
     if (ripped_counts[0] + ripped_counts[1] == 0) break;
     // Repair at the pass barrier: the pass's history update and region
     // reroutes shift soft congestion, which can open hard-clean detours
     // that were blocked a pass earlier.
-    repair_hard(0);
-    repair_hard(1);
+    const int pass_repaired_front = repair_hard(0);
+    const int pass_repaired_back = repair_hard(1);
     res.rrr_passes = pass;
     res.ripups_total += static_cast<long>(ripped_counts[0] + ripped_counts[1]);
     res.region_ripups_total +=
@@ -1477,22 +1580,17 @@ void route_astar2(RouteResult& res, const RouteOptions& options,
     FFET_METRIC_OBSERVE("route.ripups_per_pass",
                         ripped_counts[0] + ripped_counts[1]);
 
-    const double hard = total_hard();
-    const double soft_front = grids[0].overflow();
-    const double soft_back = grids[1].overflow();
-    const double soft = soft_front + soft_back;
-    record_pass(pass, ripped_counts[0], ripped_counts[1], soft_front,
-                soft_back, hard, region_counts[0], region_counts[1]);
-    if (hard < best_hard || (hard == best_hard && soft < best_soft)) {
-      best_hard = hard;
-      best_soft = soft;
-      best_paths = {sides[0].paths, sides[1].paths};
-      current_is_best = true;
-      stale_passes = 0;
-    } else {
-      current_is_best = false;
-      ++stale_passes;
-    }
+    record_pass(res,
+                {.pass = pass,
+                 .ripped_front = static_cast<int>(ripped_counts[0]),
+                 .ripped_back = static_cast<int>(ripped_counts[1]),
+                 .regions_front = region_counts[0],
+                 .regions_back = region_counts[1],
+                 .repaired_front = pass_repaired_front,
+                 .repaired_back = pass_repaired_back},
+                grids, routers);
+    current_is_best = best.update(res.pass_stats.back());
+    if (current_is_best) best_paths = {sides[0].paths, sides[1].paths};
   }
 
   // Restore the best solution (usage arrays included, for diagnostics).
@@ -1501,31 +1599,11 @@ void route_astar2(RouteResult& res, const RouteOptions& options,
   if (!current_is_best) {
     for (SideGrid& g : grids) g.clear_use();
     edge_refs.assign(subnets.size(), {});
-    for (int s = 0; s < 2; ++s) {
-      const auto sz = static_cast<std::size_t>(s);
-      sides[sz].paths = best_paths[sz];
-      SideGrid& g = grids[sz];
-      auto& cell_tps = sides[sz].cell_tps;
-      for (auto& cell : cell_tps) cell.clear();
+    for (std::size_t sz = 0; sz < 2; ++sz) {
+      for (auto& cell : sides[sz].cell_tps) cell.clear();
       for (std::size_t t = 0; t < sides[sz].tps.size(); ++t) {
-        auto& refs =
-            edge_refs[static_cast<std::size_t>(sides[sz].tps[t].parent)];
-        const std::vector<int>& path = sides[sz].paths[t];
-        for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-          const auto [dir, e] = edge_key(g, path[i], path[i + 1]);
-          const int key = (e << 1) | dir;
-          if (++refs[key] == 1) {
-            if (dir == 0) {
-              g.apply_use_h(static_cast<std::size_t>(e), +1.0);
-            } else {
-              g.apply_use_v(static_cast<std::size_t>(e), +1.0);
-            }
-          }
-        }
-        for (int n : path) {
-          cell_tps[static_cast<std::size_t>(n)].push_back(
-              static_cast<int>(t));
-        }
+        commit_tp(grids[sz], sides[sz], edge_refs, t,
+                  std::move(best_paths[sz][t]));
       }
     }
   }
@@ -1688,202 +1766,30 @@ RouteResult route_design(const Netlist& nl, const Floorplan& fp,
   FFET_TRACE_SCOPE("route.design");
   const tech::Technology& tech = nl.library().tech();
   RouteResult res;
-  const RouteEngine engine = options.engine;
 
   GridSetup gs = build_grid_setup(nl, fp, tech, options);
-  const geom::Nm gsize = gs.gsize;
-  res.gcell_w = gsize;
-  res.gcell_h = gsize;
+  res.gcell_w = gs.gsize;
+  res.gcell_h = gs.gsize;
   res.gcols = gs.gcols;
   res.grows = gs.grows;
   std::array<SideGrid, 2>& grids = gs.grids;
-  auto side_index = [](Side s) { return sidx(s); };
 
-  std::vector<SubNet> subnets = decompose_subnets(nl, tech, gs);
+  const std::vector<SubNet> subnets = decompose_subnets(nl, tech, gs);
 
   std::array<PathRouter, 2> routers{PathRouter(grids[0]), PathRouter(grids[1])};
   std::vector<std::vector<GEdge>> route_edges(subnets.size());
 
-  if (engine == RouteEngine::Astar2) {
+  if (options.engine == RouteEngine::Astar2) {
     // Stage 2: Steiner 2-pin decomposition + congestion-region rip-up.
     route_astar2(res, options, subnets, grids, routers, route_edges);
-    finalize_route_result(res, fp, tech, options, subnets, route_edges, grids,
-                          routers, gs.pin_totals, gsize);
-    return res;
-  }
-
-  // Route order: short nets first (they have the least flexibility).
-  std::vector<std::size_t> order(subnets.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    if (subnets[a].hpwl != subnets[b].hpwl) {
-      return subnets[a].hpwl < subnets[b].hpwl;
-    }
-    return subnets[a].net < subnets[b].net;
-  });
-
-  // Per-side subsequences of `order`.  A subnet only ever touches its own
-  // side's grid and router, so the two sides can route concurrently; each
-  // side preserving its in-order subsequence of `order` makes any
-  // interleaving produce the same grids as the serial pass.
-  const bool concurrent_sides = options.threads > 1;
-  std::array<std::vector<std::size_t>, 2> side_order;
-  for (std::size_t si : order) {
-    side_order[static_cast<std::size_t>(side_index(subnets[si].side))]
-        .push_back(si);
-  }
-
-  // --- route with rip-up-and-reroute --------------------------------------------
-  auto route_one = [&](std::size_t si) {
-    route_one_subnet(engine, options, subnets, grids, routers, route_edges,
-                     si);
-  };
-
-  // The two sides touch disjoint grids and routers, so iterating each
-  // side's in-order subsequence of `order` produces exactly the grids the
-  // original interleaved serial loop did — and gives every side a
-  // traceable span in both serial and concurrent execution.
-  auto route_side_initial = [&](int s) {
-    FFET_TRACE_SCOPE("route.initial.", s == 0 ? "front" : "back");
-    for (std::size_t si : side_order[static_cast<std::size_t>(s)]) {
-      route_one(si);
-    }
-  };
-  if (concurrent_sides) {
-    runtime::parallel_invoke(options.threads, [&] { route_side_initial(0); },
-                             [&] { route_side_initial(1); });
   } else {
-    route_side_initial(0);
-    route_side_initial(1);
+    std::vector<std::size_t> all(subnets.size());
+    std::iota(all.begin(), all.end(), std::size_t{0});
+    negotiate_subnets(res, options, subnets, grids, routers, route_edges,
+                      std::move(all));
   }
-
-  // Negotiated rip-up-and-reroute: decay history, bump it on overflowed
-  // edges, reroute the nets crossing them.  The best solution seen (by hard
-  // overflow, then total overflow) is kept — negotiation is not monotone.
-  auto total_hard = [&] {
-    return grids[0].hard_overflow() + grids[1].hard_overflow();
-  };
-  std::vector<std::vector<GEdge>> best_routes = route_edges;
-  double best_hard = total_hard();
-  double best_soft_front = grids[0].overflow();
-  double best_soft_back = grids[1].overflow();
-  double best_soft = best_soft_front + best_soft_back;
-  int stale_passes = 0;
-
-  // Convergence record + optional FFET_VERBOSE one-line-per-side summary
-  // (this replaces ad-hoc printf debugging of negotiation stalls).  The
-  // overflow values are passed in, not recomputed — and since commit()
-  // maintains them incrementally, the pass barrier never rescans a grid.
-  // Search-effort counters are read as deltas of the per-side routers.
-  std::array<long, 2> settled_mark{0, 0};
-  std::array<long, 2> expansions_mark{0, 0};
-  auto record_pass = [&](int pass, std::size_t ripped_front,
-                         std::size_t ripped_back, double soft_front,
-                         double soft_back, double hard) {
-    RoutePassStat ps;
-    ps.pass = pass;
-    ps.ripped_front = static_cast<int>(ripped_front);
-    ps.ripped_back = static_cast<int>(ripped_back);
-    ps.overflow_front = soft_front;
-    ps.overflow_back = soft_back;
-    ps.hard_overflow = hard;
-    ps.settled_front = routers[0].settled - settled_mark[0];
-    ps.settled_back = routers[1].settled - settled_mark[1];
-    ps.window_expansions_front =
-        static_cast<int>(routers[0].expansions - expansions_mark[0]);
-    ps.window_expansions_back =
-        static_cast<int>(routers[1].expansions - expansions_mark[1]);
-    settled_mark[0] = routers[0].settled;
-    settled_mark[1] = routers[1].settled;
-    expansions_mark[0] = routers[0].expansions;
-    expansions_mark[1] = routers[1].expansions;
-    if (obs::verbose()) {
-      for (int s = 0; s < 2; ++s) {
-        std::printf(
-            "  [route] pass=%d side=%s %s=%d overflow_total=%.1f "
-            "hard=%.1f settled=%ld expansions=%d\n",
-            pass, s == 0 ? "front" : "back",
-            pass == 0 ? "routed" : "ripups",
-            s == 0 ? ps.ripped_front : ps.ripped_back,
-            s == 0 ? ps.overflow_front : ps.overflow_back, ps.hard_overflow,
-            s == 0 ? ps.settled_front : ps.settled_back,
-            s == 0 ? ps.window_expansions_front : ps.window_expansions_back);
-      }
-    }
-    res.pass_stats.push_back(ps);
-  };
-  record_pass(0, side_order[0].size(), side_order[1].size(),
-              best_soft_front, best_soft_back, best_hard);
-  auto crosses_overflow = [&](std::size_t si) {
-    return subnet_crosses_overflow(subnets, grids, route_edges, si);
-  };
-  for (int pass = 1;
-       pass < options.rrr_passes && best_hard > 0.0 && stale_passes < 6;
-       ++pass) {
-    // Each side negotiates its pass independently: decay its history,
-    // rebuild its edge-cost cache, find its overflowing subnets (in this
-    // side's `order` subsequence), rip them all, reroute them all —
-    // restricted to state the other side never touches, so serial
-    // per-side execution and concurrent execution produce identical
-    // grids.  The pass barrier below (overflow totals, best tracking,
-    // convergence record) is serial.
-    std::array<std::size_t, 2> ripped_counts{0, 0};
-    auto pass_side = [&](int s) {
-      FFET_TRACE_SCOPE("route.pass.", pass, s == 0 ? ".front" : ".back");
-      const auto sz = static_cast<std::size_t>(s);
-      decay_history(grids[sz]);
-      grids[sz].rebuild_costs();
-      std::vector<std::size_t> ripped;
-      for (std::size_t si : side_order[sz]) {
-        if (crosses_overflow(si)) ripped.push_back(si);
-      }
-      for (std::size_t si : ripped) {
-        commit(grids[sz], route_edges[si], -1.0);
-      }
-      for (std::size_t si : ripped) route_one(si);
-      ripped_counts[sz] = ripped.size();
-    };
-    if (concurrent_sides) {
-      runtime::parallel_invoke(options.threads, [&] { pass_side(0); },
-                               [&] { pass_side(1); });
-    } else {
-      pass_side(0);
-      pass_side(1);
-    }
-    if (ripped_counts[0] + ripped_counts[1] == 0) break;
-    res.rrr_passes = pass;
-    res.ripups_total +=
-        static_cast<long>(ripped_counts[0] + ripped_counts[1]);
-    FFET_METRIC_OBSERVE("route.ripups_per_pass",
-                        ripped_counts[0] + ripped_counts[1]);
-
-    const double hard = total_hard();
-    const double soft_front = grids[0].overflow();
-    const double soft_back = grids[1].overflow();
-    const double soft = soft_front + soft_back;
-    record_pass(pass, ripped_counts[0], ripped_counts[1], soft_front,
-                soft_back, hard);
-    if (hard < best_hard || (hard == best_hard && soft < best_soft)) {
-      best_hard = hard;
-      best_soft = soft;
-      best_routes = route_edges;
-      stale_passes = 0;
-    } else {
-      ++stale_passes;
-    }
-  }
-  // Restore the best solution (usage arrays included, for diagnostics).
-  if (best_routes != route_edges) {
-    for (SideGrid& g : grids) g.clear_use();
-    route_edges = std::move(best_routes);
-    for (std::size_t si = 0; si < subnets.size(); ++si) {
-      commit(grids[static_cast<std::size_t>(side_index(subnets[si].side))],
-             route_edges[si], +1.0);
-    }
-  }
-
   finalize_route_result(res, fp, tech, options, subnets, route_edges, grids,
-                        routers, gs.pin_totals, gsize);
+                        routers, gs.pin_totals, gs.gsize);
   return res;
 }
 
@@ -1894,12 +1800,11 @@ RouteResult reroute_nets(const Netlist& nl, const Floorplan& fp,
   FFET_TRACE_SCOPE("route.reroute");
   const tech::Technology& tech = nl.library().tech();
   RouteResult res;
-  const RouteEngine engine = options.engine;
-  // The ECO primitive routes its (few) dirty subnets monolithically with
-  // the windowed A* kernel even under Astar2: region negotiation needs the
-  // color map of *every* route, which carried nets don't have, and the ECO
-  // contract pins them anyway.  route_one_subnet maps any non-Legacy
-  // engine to connect_astar, so no translation is needed here.
+  // The ECO primitive routes its (few) dirty subnets with the stage-1 loop
+  // even under Astar2: region negotiation needs the color map of *every*
+  // route, which carried nets don't have, and the ECO contract pins them
+  // anyway.  route_one_subnet maps any non-Legacy engine to connect_astar,
+  // so no translation is needed here.
 
   // Rebuild grids and pin demand from the *current* netlist (moved/resized
   // cells and flipped pin sides shift the demand landscape), then decompose
@@ -1910,7 +1815,7 @@ RouteResult reroute_nets(const Netlist& nl, const Floorplan& fp,
   res.gcols = gs.gcols;
   res.grows = gs.grows;
   std::array<SideGrid, 2>& grids = gs.grids;
-  std::vector<SubNet> subnets = decompose_subnets(nl, tech, gs);
+  const std::vector<SubNet> subnets = decompose_subnets(nl, tech, gs);
 
   std::vector<char> is_dirty(static_cast<std::size_t>(nl.num_nets()), 0);
   for (const netlist::NetId n : dirty_nets) {
@@ -1926,128 +1831,39 @@ RouteResult reroute_nets(const Netlist& nl, const Floorplan& fp,
   }
 
   std::vector<std::vector<GEdge>> route_edges(subnets.size());
-  std::vector<char> needs_route(subnets.size(), 1);
   std::vector<const NetRoute*> carried(subnets.size(), nullptr);
+  std::vector<std::size_t> todo;
   for (std::size_t si = 0; si < subnets.size(); ++si) {
     const SubNet& sn = subnets[si];
-    if (is_dirty[static_cast<std::size_t>(sn.net)]) continue;
-    const NetRoute* p = prev_of[static_cast<std::size_t>(sn.net)]
-                               [static_cast<std::size_t>(sidx(sn.side))];
+    const NetRoute* p =
+        is_dirty[static_cast<std::size_t>(sn.net)]
+            ? nullptr
+            : prev_of[static_cast<std::size_t>(sn.net)]
+                     [static_cast<std::size_t>(sidx(sn.side))];
     // Reuse only when the decomposition is unchanged; any mismatch (a
     // terminal moved without the net being listed dirty) falls back to a
     // fresh route of that subnet.
     if (p && p->source_gcell == sn.source && p->sink_gcells == sn.sinks) {
       route_edges[si] = p->edges;
-      needs_route[si] = 0;
       carried[si] = p;
-    }
-  }
-  for (std::size_t si = 0; si < subnets.size(); ++si) {
-    if (!needs_route[si]) {
-      commit(grids[static_cast<std::size_t>(sidx(subnets[si].side))],
-             route_edges[si], +1.0);
+      commit(grids[static_cast<std::size_t>(sidx(sn.side))], route_edges[si],
+             +1.0);
+    } else {
+      todo.push_back(si);
     }
   }
   // The carried usage shifts edge costs: refresh the cost caches before
   // routing the dirty subnets against them.
   for (SideGrid& g : grids) g.rebuild_costs();
 
-  // Dirty subnets in the same global short-first order as a full route.
-  std::vector<std::size_t> order;
-  for (std::size_t si = 0; si < subnets.size(); ++si) {
-    if (needs_route[si]) order.push_back(si);
-  }
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    if (subnets[a].hpwl != subnets[b].hpwl) {
-      return subnets[a].hpwl < subnets[b].hpwl;
-    }
-    return subnets[a].net < subnets[b].net;
-  });
-  std::array<std::vector<std::size_t>, 2> side_order;
-  for (std::size_t si : order) {
-    side_order[static_cast<std::size_t>(sidx(subnets[si].side))].push_back(si);
-  }
-
+  // The same negotiation as a full route, over the dirty subnets only — the
+  // untouched nets' routes are pinned, exactly the "rip-up-and-reroute of
+  // only the modified nets" contract the ECO loop needs.
+  const std::size_t num_dirty = todo.size();
   std::array<PathRouter, 2> routers{PathRouter(grids[0]),
                                     PathRouter(grids[1])};
-  const bool concurrent_sides = options.threads > 1;
-  auto route_side_initial = [&](int s) {
-    for (std::size_t si : side_order[static_cast<std::size_t>(s)]) {
-      route_one_subnet(engine, options, subnets, grids, routers, route_edges,
-                       si);
-    }
-  };
-  if (concurrent_sides) {
-    runtime::parallel_invoke(options.threads, [&] { route_side_initial(0); },
-                             [&] { route_side_initial(1); });
-  } else {
-    route_side_initial(0);
-    route_side_initial(1);
-  }
-
-  // Bounded negotiation over the dirty subnets only — the untouched nets'
-  // routes are pinned, exactly the "rip-up-and-reroute of only the
-  // modified nets" contract the ECO loop needs.
-  auto total_hard = [&] {
-    return grids[0].hard_overflow() + grids[1].hard_overflow();
-  };
-  std::vector<std::vector<GEdge>> best_routes = route_edges;
-  double best_hard = total_hard();
-  double best_soft = grids[0].overflow() + grids[1].overflow();
-  int stale_passes = 0;
-  for (int pass = 1;
-       pass < options.rrr_passes && best_hard > 0.0 && stale_passes < 6;
-       ++pass) {
-    std::array<std::size_t, 2> ripped_counts{0, 0};
-    auto pass_side = [&](int s) {
-      const auto sz = static_cast<std::size_t>(s);
-      SideGrid& g = grids[sz];
-      decay_history(g);
-      g.rebuild_costs();
-      std::vector<std::size_t> ripped;
-      for (std::size_t si : side_order[sz]) {
-        if (subnet_crosses_overflow(subnets, grids, route_edges, si)) {
-          ripped.push_back(si);
-        }
-      }
-      for (std::size_t si : ripped) {
-        commit(g, route_edges[si], -1.0);
-      }
-      for (std::size_t si : ripped) {
-        route_one_subnet(engine, options, subnets, grids, routers,
-                         route_edges, si);
-      }
-      ripped_counts[sz] = ripped.size();
-    };
-    if (concurrent_sides) {
-      runtime::parallel_invoke(options.threads, [&] { pass_side(0); },
-                               [&] { pass_side(1); });
-    } else {
-      pass_side(0);
-      pass_side(1);
-    }
-    if (ripped_counts[0] + ripped_counts[1] == 0) break;
-    res.rrr_passes = pass;
-    res.ripups_total += static_cast<long>(ripped_counts[0] + ripped_counts[1]);
-    const double hard = total_hard();
-    const double soft = grids[0].overflow() + grids[1].overflow();
-    if (hard < best_hard || (hard == best_hard && soft < best_soft)) {
-      best_hard = hard;
-      best_soft = soft;
-      best_routes = route_edges;
-      stale_passes = 0;
-    } else {
-      ++stale_passes;
-    }
-  }
-  if (best_routes != route_edges) {
-    for (SideGrid& g : grids) g.clear_use();
-    route_edges = std::move(best_routes);
-    for (std::size_t si = 0; si < subnets.size(); ++si) {
-      commit(grids[static_cast<std::size_t>(sidx(subnets[si].side))],
-             route_edges[si], +1.0);
-    }
-  }
+  negotiate_subnets(res, options, subnets, grids, routers, route_edges,
+                    std::move(todo));
 
   finalize_route_result(res, fp, tech, options, subnets, route_edges, grids,
                         routers, gs.pin_totals, gs.gsize);
@@ -2062,7 +1878,7 @@ RouteResult reroute_nets(const Netlist& nl, const Floorplan& fp,
   }
   FFET_METRIC_ADD("route.reroutes", 1);
   FFET_METRIC_OBSERVE("route.reroute_dirty_subnets",
-                      static_cast<double>(order.size()));
+                      static_cast<double>(num_dirty));
   return res;
 }
 

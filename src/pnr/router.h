@@ -129,9 +129,10 @@ struct NetRoute {
   int v_layer_index = 1;
 };
 
-/// Convergence record of one negotiation pass.  Pass 0 is the initial
-/// route (ripped counts are the number of subnets *routed*); passes >= 1
-/// are rip-up-and-reroute rounds.  Overflows are measured after the pass.
+/// Convergence record of one negotiation pass, for every engine and for
+/// both the full route and the ECO reroute.  Pass 0 is the initial route
+/// (ripped counts are the number of subnets *routed*); passes >= 1 are
+/// rip-up-and-reroute rounds.  Overflows are measured after the pass.
 struct RoutePassStat {
   int pass = 0;
   int ripped_front = 0;
@@ -150,6 +151,11 @@ struct RoutePassStat {
   // those regions.  Zero for the other engines.
   int regions_front = 0;
   int regions_back = 0;
+  // Stage-2 hard-overflow repairs accepted after this pass (after the
+  // initial route for pass 0): each one rips and reroutes a 2-pin subnet
+  // and counts into RouteResult::ripups_total.  Zero for the other engines.
+  int repaired_front = 0;
+  int repaired_back = 0;
 };
 
 /// Aggregate result of the dual-sided routing stage.
@@ -180,9 +186,11 @@ struct RouteResult {
   // Convergence diagnostics: one entry per executed pass (see
   // RoutePassStat), the number of RRR passes actually run (excluding the
   // initial route), and the total subnet-level rip-ups across all passes
-  // (2-pin subnets for Astar2; whole per-side subnets for the stage-1
-  // engines).  With FFET_VERBOSE set the router also prints a one-line
-  // per-pass summary.
+  // (2-pin subnets for Astar2, hard-overflow repairs included; whole
+  // per-side subnets for the stage-1 engines).  ripups_total equals the sum
+  // of the ripped (passes >= 1) and repaired counts of pass_stats.  The
+  // router prints nothing; with FFET_VERBOSE set the flow prints one line
+  // per pass and side from pass_stats after its route stage.
   std::vector<RoutePassStat> pass_stats;
   int rrr_passes = 0;
   long ripups_total = 0;
@@ -221,9 +229,13 @@ RouteResult route_design(const netlist::Netlist& nl, const Floorplan& fp,
 /// rebuilding grids and pin demand from the current netlist state.  A
 /// clean net whose terminals nevertheless moved gcells (e.g. its driver
 /// was displaced by legalization without the caller listing it dirty) is
-/// conservatively re-routed too.  Untouched nets keep their previous layer
-/// assignment, so their DEF wires — and extracted parasitics — are
-/// bit-identical to `prev`.  The ECO engine's routing primitive.
+/// conservatively re-routed too.  The re-routed subnets go through the same
+/// stage-1 negotiation loop as route_design (windowed A* unless `engine` is
+/// Legacy), so rerouting every net from an empty `prev` reproduces the
+/// stage-1 full route; the result records its own pass stats.  Untouched
+/// nets keep their previous layer assignment, so their DEF wires — and
+/// extracted parasitics — are bit-identical to `prev`.  The ECO engine's
+/// routing primitive.
 RouteResult reroute_nets(const netlist::Netlist& nl, const Floorplan& fp,
                          const RouteResult& prev,
                          const std::vector<netlist::NetId>& dirty_nets,

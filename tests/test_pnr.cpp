@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <functional>
 #include <map>
+#include <numeric>
 #include <random>
 #include <set>
 #include <tuple>
@@ -579,6 +580,56 @@ TEST_F(PnrTest, RouterDeterministic) {
 
 // --- routing: maze-search engines -------------------------------------------
 
+/// A deliberately congested fixture: the 8-register core with 2+2 routing
+/// layers at 80 % utilization, placed and clock-treed.  Route it with the
+/// capacity fudge squeezed to 2.4 (the core is otherwise too small to
+/// congest).  Built in place: the library and netlist hold references to
+/// the members before them, so the fixture is neither copied nor moved.
+struct CongestedDesign {
+  tech::Technology tech;
+  stdcell::Library lib;
+  netlist::Netlist nl;
+  Floorplan fp;
+
+  explicit CongestedDesign(const tech::Technology& base)
+      : tech(base.with_routing_limit(2, 2)),
+        lib(dual_library(tech)),
+        nl(riscv::build_rv32_core(lib, core_options())),
+        fp(make_floorplan(nl, tech, floorplan_options())) {
+    const PowerPlan pp = build_power_plan(nl, fp, lib);
+    place(nl, fp, pp);
+    build_clock_tree(nl, fp);
+  }
+  CongestedDesign(const CongestedDesign&) = delete;
+  CongestedDesign& operator=(const CongestedDesign&) = delete;
+
+  static RouteOptions route_options(RouteEngine engine) {
+    RouteOptions ro;
+    ro.capacity_factor = 2.4;
+    ro.engine = engine;
+    return ro;
+  }
+
+ private:
+  static stdcell::Library dual_library(const tech::Technology& t) {
+    stdcell::PinConfig dual;
+    dual.backside_input_fraction = 0.5;
+    stdcell::Library l = stdcell::build_library(t, dual);
+    liberty::characterize_library(l);
+    return l;
+  }
+  static riscv::Rv32Options core_options() {
+    riscv::Rv32Options opt;
+    opt.num_registers = 8;
+    return opt;
+  }
+  static FloorplanOptions floorplan_options() {
+    FloorplanOptions fo;
+    fo.target_utilization = 0.8;
+    return fo;
+  }
+};
+
 TEST_F(PnrTest, AstarMatchesLegacyQor) {
   // The windowed A* engine must be QoR-equivalent to the legacy full-grid
   // Dijkstra on the seed designs: equal-or-better hard overflow and total
@@ -609,51 +660,79 @@ TEST_F(PnrTest, AstarMatchesLegacyQor) {
 }
 
 TEST_F(PnrTest, AstarWindowExpandsUnderCongestion) {
-  // A deliberately congested fixture: 2+2 routing layers at 80 %
-  // utilization with the capacity fudge squeezed to 2.4 (the 8-register
-  // core is otherwise too small to congest).  Windowed attempts admit only
+  // On the congested fixture windowed attempts admit only
   // hard-overflow-free paths, so saturated edges force window expansions
   // (x2, then full grid); the full-grid fallback still connects every
   // sink, and the A* result must remain equal-or-better than legacy on
   // hard overflow.
-  tech::Technology limited = ffet_tech_->with_routing_limit(2, 2);
-  stdcell::PinConfig dual;
-  dual.backside_input_fraction = 0.5;
-  stdcell::Library lib2 = stdcell::build_library(limited, dual);
-  liberty::characterize_library(lib2);
-  riscv::Rv32Options opt;
-  opt.num_registers = 8;
-  netlist::Netlist nl2 = riscv::build_rv32_core(lib2, opt);
-  FloorplanOptions fo;
-  fo.target_utilization = 0.8;
-  const Floorplan fp2 = make_floorplan(nl2, limited, fo);
-  const PowerPlan pp2 = build_power_plan(nl2, fp2, lib2);
-  place(nl2, fp2, pp2);
-  build_clock_tree(nl2, fp2);
+  const CongestedDesign cd(*ffet_tech_);
+  std::map<RouteEngine, RouteResult> by_engine;
+  for (const RouteEngine engine :
+       {RouteEngine::Legacy, RouteEngine::Astar, RouteEngine::Astar2}) {
+    const RouteResult& r = by_engine[engine] =
+        route_design(cd.nl, cd.fp, CongestedDesign::route_options(engine));
 
-  RouteOptions astar_ro;
-  astar_ro.capacity_factor = 2.4;
-  astar_ro.engine = RouteEngine::Astar;
-  const RouteResult a = route_design(nl2, fp2, astar_ro);
+    // Per-pass counters must sum to the totals, for every engine: settled
+    // nodes, window expansions, rip-ups (the ripped subnets of passes >= 1
+    // plus every pass's stage-2 hard-overflow repairs) and regions.
+    long settled = 0, wexp = 0, ripups = 0, regions = 0;
+    for (const RoutePassStat& ps : r.pass_stats) {
+      settled += ps.settled_front + ps.settled_back;
+      wexp += ps.window_expansions_front + ps.window_expansions_back;
+      if (ps.pass >= 1) ripups += ps.ripped_front + ps.ripped_back;
+      ripups += ps.repaired_front + ps.repaired_back;
+      regions += ps.regions_front + ps.regions_back;
+    }
+    const int e = static_cast<int>(engine);
+    EXPECT_EQ(settled, r.settled_nodes) << "engine " << e;
+    EXPECT_EQ(wexp, r.window_expansions) << "engine " << e;
+    EXPECT_EQ(ripups, r.ripups_total) << "engine " << e;
+    EXPECT_EQ(regions, r.region_ripups_total) << "engine " << e;
+  }
+
+  const RouteResult& a = by_engine[RouteEngine::Astar];
   EXPECT_GT(a.window_expansions, 0)
       << "a saturated 2+2 stack must trigger window expansion";
-  expect_all_sinks_connected(nl2, a);
+  expect_all_sinks_connected(cd.nl, a);
 
-  // Per-pass counters must sum to the totals.
-  long settled = 0, wexp = 0;
-  for (const RoutePassStat& ps : a.pass_stats) {
-    settled += ps.settled_front + ps.settled_back;
-    wexp += ps.window_expansions_front + ps.window_expansions_back;
-  }
-  EXPECT_EQ(settled, a.settled_nodes);
-  EXPECT_EQ(wexp, a.window_expansions);
-
-  RouteOptions legacy_ro;
-  legacy_ro.capacity_factor = 2.4;
-  legacy_ro.engine = RouteEngine::Legacy;
-  const RouteResult l = route_design(nl2, fp2, legacy_ro);
+  const RouteResult& l = by_engine[RouteEngine::Legacy];
   EXPECT_EQ(l.window_expansions, 0);
   EXPECT_LE(a.drv_wire, l.drv_wire);
+}
+
+TEST_F(PnrTest, RerouteMatchesStage1Route) {
+  // The ECO reroute runs the full route's stage-1 negotiation over its
+  // dirty subnets.  On the congested fixture, rerouting every net from an
+  // empty result must reproduce the full A* route exactly — edges, layers,
+  // passes, rip-ups and search effort — and rerouting no net must carry
+  // every route through unchanged.
+  const CongestedDesign cd(*ffet_tech_);
+  const RouteOptions ro = CongestedDesign::route_options(RouteEngine::Astar);
+  const RouteResult full = route_design(cd.nl, cd.fp, ro);
+  ASSERT_GT(full.rrr_passes, 0) << "the fixture must need negotiation";
+
+  auto expect_routes_of_full = [&](const RouteResult& r) {
+    ASSERT_EQ(r.routes.size(), full.routes.size());
+    for (std::size_t i = 0; i < full.routes.size(); ++i) {
+      EXPECT_EQ(r.routes[i].net, full.routes[i].net);
+      EXPECT_EQ(r.routes[i].side, full.routes[i].side);
+      EXPECT_EQ(r.routes[i].edges, full.routes[i].edges) << "route " << i;
+      EXPECT_EQ(r.routes[i].h_layer_index, full.routes[i].h_layer_index);
+      EXPECT_EQ(r.routes[i].v_layer_index, full.routes[i].v_layer_index);
+    }
+  };
+
+  std::vector<NetId> every(static_cast<std::size_t>(cd.nl.num_nets()));
+  std::iota(every.begin(), every.end(), NetId{0});
+  const RouteResult fresh = reroute_nets(cd.nl, cd.fp, RouteResult{}, every, ro);
+  EXPECT_EQ(fresh.rrr_passes, full.rrr_passes);
+  EXPECT_EQ(fresh.ripups_total, full.ripups_total);
+  EXPECT_EQ(fresh.settled_nodes, full.settled_nodes);
+  expect_routes_of_full(fresh);
+
+  const RouteResult same = reroute_nets(cd.nl, cd.fp, full, {}, ro);
+  EXPECT_EQ(same.ripups_total, 0);
+  expect_routes_of_full(same);
 }
 
 TEST_F(PnrTest, RouterDeterministicAcrossThreadCounts) {
@@ -900,30 +979,14 @@ TEST_F(PnrTest, Astar2DeterministicUnderCongestion) {
   // the threaded schedule must still be bit-identical to the serial one —
   // frozen-snapshot searches plus the serial commit barrier make the result
   // a pure function of the overflow picture.
-  tech::Technology limited = ffet_tech_->with_routing_limit(2, 2);
-  stdcell::PinConfig dual;
-  dual.backside_input_fraction = 0.5;
-  stdcell::Library lib2 = stdcell::build_library(limited, dual);
-  liberty::characterize_library(lib2);
-  riscv::Rv32Options opt;
-  opt.num_registers = 8;
-  netlist::Netlist nl2 = riscv::build_rv32_core(lib2, opt);
-  FloorplanOptions fo;
-  fo.target_utilization = 0.8;
-  const Floorplan fp2 = make_floorplan(nl2, limited, fo);
-  const PowerPlan pp2 = build_power_plan(nl2, fp2, lib2);
-  place(nl2, fp2, pp2);
-  build_clock_tree(nl2, fp2);
-
-  RouteOptions ro;
-  ro.engine = RouteEngine::Astar2;
-  ro.capacity_factor = 2.4;
+  const CongestedDesign cd(*ffet_tech_);
+  RouteOptions ro = CongestedDesign::route_options(RouteEngine::Astar2);
   ro.threads = 1;
-  const RouteResult serial = route_design(nl2, fp2, ro);
+  const RouteResult serial = route_design(cd.nl, cd.fp, ro);
   ro.threads = 4;
-  const RouteResult threaded = route_design(nl2, fp2, ro);
+  const RouteResult threaded = route_design(cd.nl, cd.fp, ro);
 
-  expect_all_sinks_connected(nl2, serial);
+  expect_all_sinks_connected(cd.nl, serial);
   EXPECT_GT(serial.steiner_subnets, 0);
   EXPECT_DOUBLE_EQ(serial.total_wirelength_um(),
                    threaded.total_wirelength_um());
