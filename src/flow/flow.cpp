@@ -517,6 +517,7 @@ PhysicalDesign run_physical_design(const DesignContext& ctx,
   // --- placement ----------------------------------------------------------------
   pnr::PlacementOptions po;
   po.seed = config.seed;
+  po.threads = threads;
   d.placement = [&] {
     StageClock clk(&res, "placement");
     return pnr::place(nl, d.fp, d.pp, po);

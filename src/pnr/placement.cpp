@@ -2,13 +2,16 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <optional>
 #include <random>
+#include <utility>
 #include <vector>
 
 #include "geom/grid.h"
 #include "obs/obs.h"
+#include "runtime/thread_pool.h"
 
 namespace ffet::pnr {
 
@@ -75,7 +78,6 @@ struct Segment {
       if (x < iv.lo || x + w > iv.hi) continue;
       const geom::Interval right{x + w, iv.hi};
       iv.hi = x;
-      std::vector<geom::Interval> updated;
       if (iv.length() <= 0) {
         free_list.erase(free_list.begin() + static_cast<long>(i));
         if (right.length() > 0) {
@@ -125,6 +127,46 @@ std::vector<RowState> build_row_segments(const Floorplan& fp,
     rows.push_back(std::move(rs));
   }
   return rows;
+}
+
+/// The legal slot a cell of width `w` takes: row, segment and origin x.
+struct Slot {
+  RowState* row = nullptr;  ///< nullptr when no gap fits anywhere
+  Segment* seg = nullptr;
+  Nm x = 0;
+};
+
+/// Nearest free slot to `desired` under cost |dx| + |dy|, scanning rows
+/// near-to-far from the desired row and stopping once the row distance
+/// alone exceeds the best cost.  Shared by the Tetris legalizer and the
+/// ECO's IncrementalLegalizer, so both pick identical slots.
+Slot find_slot(std::vector<RowState>& rows, const Floorplan& fp, Nm w,
+               geom::Point desired) {
+  const int want_row = std::clamp(static_cast<int>(desired.y / fp.row_height),
+                                  0, fp.num_rows() - 1);
+  Nm best_cost = std::numeric_limits<Nm>::max();
+  Slot best;
+  for (int dr = 0; dr < fp.num_rows(); ++dr) {
+    for (int sgn : {1, -1}) {
+      const int r = want_row + sgn * dr;
+      if (sgn < 0 && dr == 0) continue;
+      if (r < 0 || r >= fp.num_rows()) continue;
+      RowState& row = rows[static_cast<std::size_t>(r)];
+      const Nm dy = std::abs(row.y - desired.y);
+      if (dy >= best_cost) continue;  // rows are visited near-to-far
+      for (Segment& seg : row.segments) {
+        const auto x = seg.best_position(w, desired.x, fp.site_width);
+        if (!x) continue;
+        const Nm cost = std::abs(*x - desired.x) + dy;
+        if (cost < best_cost) {
+          best_cost = cost;
+          best = {&row, &seg, *x};
+        }
+      }
+    }
+    if (best.row && static_cast<Nm>(dr) * fp.row_height > best_cost) break;
+  }
+  return best;
 }
 
 /// Place IO ports evenly on the core boundary: inputs on the left/top
@@ -216,45 +258,89 @@ PlacementResult place(Netlist& nl, const Floorplan& fp, const PowerPlan& pp,
   // order-preserving sort-and-balance spreading that equalizes density
   // without destroying the relative cell order — the property that keeps
   // locality through legalization.
+  //
+  // In both passes every parallel unit writes only its own slots and reads
+  // nothing another unit writes, so they run as parallel_for with output
+  // bit-identical at any thread count.  Working arrays live for the whole
+  // place() call.
+  const int threads = runtime::resolve_threads(options.threads);
+  const std::size_t num_nets = static_cast<std::size_t>(nl.num_nets());
+  std::vector<Nm> net_sum_x(num_nets), net_sum_y(num_nets);
+  std::vector<int> net_pins(num_nets);
+  std::vector<geom::Point> desired(movable.size());
+
+  // Each cell is pulled toward the mean of every other pin on each of its
+  // non-clock nets (a net counts once per pin the cell has on it), plus
+  // the net's port.  Summing each net once and subtracting the cell's own
+  // pins keeps a pass at Σ deg work; walking every net once per touching
+  // pin would cost Σ deg², which high-fanout nets dominate.  The sums are
+  // exact integers below 2^53, so the one int64 → double conversion per
+  // cell gives the same bits as accumulating the pins in double, in any
+  // order.
   auto centroid_pass = [&]() {
-    std::vector<geom::Point> desired(
-        static_cast<std::size_t>(nl.num_instances()));
-    for (InstId id : movable) {
-      const netlist::Instance& inst = nl.instance(id);
-      double sx = 0, sy = 0;
-      int n = 0;
-      const auto pin_nets = nl.pin_nets(id);
-      for (std::size_t p = 0; p < pin_nets.size(); ++p) {
-        const netlist::NetId net_id = pin_nets[p];
-        if (net_id == netlist::kNoNet) continue;
-        const netlist::Net& net = nl.net(net_id);
-        if (net.is_clock) continue;  // the clock net doesn't pull placement
-        auto absorb = [&](const netlist::PinRef& ref) {
-          if (ref.inst == id || ref.inst == netlist::kNoInst) return;
-          const geom::Point q = nl.pin_position(ref);
-          sx += static_cast<double>(q.x);
-          sy += static_cast<double>(q.y);
-          ++n;
-        };
-        absorb(net.driver);
-        for (const netlist::PinRef& s : net.sinks) absorb(s);
-        if (net.port >= 0) {
-          sx += static_cast<double>(nl.port(net.port).pos.x);
-          sy += static_cast<double>(nl.port(net.port).pos.y);
-          ++n;
-        }
-      }
-      geom::Point target = inst.pos;
-      if (n > 0) {
-        target = {static_cast<Nm>(sx / n), static_cast<Nm>(sy / n)};
-      }
-      const double a = options.pull_strength;
-      desired[static_cast<std::size_t>(id)] = {
-          static_cast<Nm>(a * target.x + (1 - a) * inst.pos.x),
-          static_cast<Nm>(a * target.y + (1 - a) * inst.pos.y)};
-    }
-    for (InstId id : movable) {
-      nl.instance(id).pos = desired[static_cast<std::size_t>(id)];
+    FFET_TRACE_SCOPE("place.centroid");
+    runtime::parallel_for(
+        num_nets,
+        [&](std::size_t k) {
+          const netlist::Net& net = nl.net(static_cast<netlist::NetId>(k));
+          Nm sx = 0, sy = 0;
+          int n = 0;
+          if (!net.is_clock) {  // the clock net doesn't pull placement
+            auto absorb = [&](const netlist::PinRef& ref) {
+              if (ref.inst == netlist::kNoInst) return;
+              const geom::Point q = nl.pin_position(ref);
+              sx += q.x;
+              sy += q.y;
+              ++n;
+            };
+            absorb(net.driver);
+            for (const netlist::PinRef& s : net.sinks) absorb(s);
+            if (net.port >= 0) {
+              sx += nl.port(net.port).pos.x;
+              sy += nl.port(net.port).pos.y;
+              ++n;
+            }
+          }
+          net_sum_x[k] = sx;
+          net_sum_y[k] = sy;
+          net_pins[k] = n;
+        },
+        threads, 0);
+    runtime::parallel_for(
+        movable.size(),
+        [&](std::size_t m) {
+          const InstId id = movable[m];
+          const netlist::Instance& inst = nl.instance(id);
+          const auto pin_nets = nl.pin_nets(id);
+          Nm sx = 0, sy = 0;
+          int n = 0;
+          for (const netlist::NetId net_id : pin_nets) {
+            if (net_id == netlist::kNoNet || nl.net(net_id).is_clock) continue;
+            const auto k = static_cast<std::size_t>(net_id);
+            sx += net_sum_x[k];
+            sy += net_sum_y[k];
+            n += net_pins[k];
+            for (std::size_t q = 0; q < pin_nets.size(); ++q) {
+              if (pin_nets[q] != net_id) continue;
+              const geom::Point own =
+                  nl.pin_position({id, static_cast<int>(q)});
+              sx -= own.x;
+              sy -= own.y;
+              --n;
+            }
+          }
+          geom::Point target = inst.pos;
+          if (n > 0) {
+            target = {static_cast<Nm>(static_cast<double>(sx) / n),
+                      static_cast<Nm>(static_cast<double>(sy) / n)};
+          }
+          const double a = options.pull_strength;
+          desired[m] = {static_cast<Nm>(a * target.x + (1 - a) * inst.pos.x),
+                        static_cast<Nm>(a * target.y + (1 - a) * inst.pos.y)};
+        },
+        threads, 0);
+    for (std::size_t m = 0; m < movable.size(); ++m) {
+      nl.instance(movable[m]).pos = desired[m];
     }
   };
 
@@ -263,72 +349,108 @@ PlacementResult place(Netlist& nl, const Floorplan& fp, const PowerPlan& pp,
   // geometric half of the region, recurse.  Order is preserved along the
   // split axis at every level, so connectivity structure built by the
   // averaging passes survives while density becomes uniform.
+  //
+  // Cells are indexed by their slot in `movable` (ascending ids, so the
+  // (key, slot) order is the (key, id) order).  Positions do not change
+  // until a frame's leaf, so one pass sorts all cells once by (x, slot)
+  // and once by (y, slot); a frame owns the same range of both orders, and
+  // a split stable-partitions the other axis's order by side, which keeps
+  // each child's ranges sorted with no further comparisons.  Frames of one
+  // tree level touch disjoint ranges and cells, so they run in parallel.
+  struct Frame {
+    std::size_t lo = 0, hi = 0;  ///< range of `by_x` / `by_y`
+    geom::Rect region;
+  };
+  std::vector<double> area(movable.size());
+  for (std::size_t m = 0; m < movable.size(); ++m) {
+    area[m] = nl.instance(movable[m]).type->area_um2();
+  }
+  std::vector<std::pair<Nm, std::uint32_t>> keyed_x(movable.size()),
+      keyed_y(movable.size());
+  std::vector<std::uint32_t> by_x(movable.size()), by_y(movable.size()),
+      scratch(movable.size());
+  std::vector<char> goes_low(movable.size());
+  std::vector<Frame> level, next;
+  auto sort_axis = [&](std::vector<std::pair<Nm, std::uint32_t>>& keyed,
+                       std::vector<std::uint32_t>& order, bool x_axis) {
+    for (std::size_t m = 0; m < movable.size(); ++m) {
+      const geom::Point& p = nl.instance(movable[m]).pos;
+      keyed[m] = {x_axis ? p.x : p.y, static_cast<std::uint32_t>(m)};
+    }
+    std::sort(keyed.begin(), keyed.end());
+    for (std::size_t i = 0; i < keyed.size(); ++i) order[i] = keyed[i].second;
+  };
   auto spread_pass = [&]() {
-    struct Frame {
-      std::vector<InstId> cells;
-      geom::Rect region;
-    };
-    std::vector<Frame> stack;
-    stack.push_back({movable, fp.core});
-    while (!stack.empty()) {
-      Frame f = std::move(stack.back());
-      stack.pop_back();
-      if (f.cells.empty()) continue;
-      const bool split_x = f.region.width() >= f.region.height();
-      if (static_cast<int>(f.cells.size()) <= 8 ||
-          f.region.width() <= 4 * fp.site_width ||
-          f.region.height() <= fp.row_height) {
-        // Leaf: scatter by rank along the longer axis.
-        std::sort(f.cells.begin(), f.cells.end(), [&](InstId a, InstId b) {
-          const auto& pa = nl.instance(a).pos;
-          const auto& pb = nl.instance(b).pos;
-          if (split_x && pa.x != pb.x) return pa.x < pb.x;
-          if (!split_x && pa.y != pb.y) return pa.y < pb.y;
-          return a < b;
-        });
-        for (std::size_t i = 0; i < f.cells.size(); ++i) {
-          const double t = (static_cast<double>(i) + 0.5) /
-                           static_cast<double>(f.cells.size());
-          netlist::Instance& inst = nl.instance(f.cells[i]);
-          if (split_x) {
-            inst.pos = {f.region.lo.x + static_cast<Nm>(t * f.region.width()),
-                        f.region.center().y};
-          } else {
-            inst.pos = {f.region.center().x,
-                        f.region.lo.y + static_cast<Nm>(t * f.region.height())};
-          }
-        }
-        continue;
-      }
-      std::sort(f.cells.begin(), f.cells.end(), [&](InstId a, InstId b) {
-        const auto& pa = nl.instance(a).pos;
-        const auto& pb = nl.instance(b).pos;
-        if (split_x && pa.x != pb.x) return pa.x < pb.x;
-        if (!split_x && pa.y != pb.y) return pa.y < pb.y;
-        return a < b;
-      });
-      double total = 0.0;
-      for (InstId id : f.cells) total += nl.instance(id).type->area_um2();
-      double acc = 0.0;
-      std::size_t cut = 0;
-      while (cut < f.cells.size() && acc < total / 2.0) {
-        acc += nl.instance(f.cells[cut]).type->area_um2();
-        ++cut;
-      }
-      Frame a, b;
-      a.cells.assign(f.cells.begin(), f.cells.begin() + static_cast<long>(cut));
-      b.cells.assign(f.cells.begin() + static_cast<long>(cut), f.cells.end());
-      if (split_x) {
-        const Nm mid = f.region.center().x;
-        a.region = {f.region.lo, {mid, f.region.hi.y}};
-        b.region = {{mid, f.region.lo.y}, f.region.hi};
-      } else {
-        const Nm mid = f.region.center().y;
-        a.region = {f.region.lo, {f.region.hi.x, mid}};
-        b.region = {{f.region.lo.x, mid}, f.region.hi};
-      }
-      stack.push_back(std::move(a));
-      stack.push_back(std::move(b));
+    FFET_TRACE_SCOPE("place.spread");
+    runtime::parallel_invoke(
+        threads, [&] { sort_axis(keyed_x, by_x, true); },
+        [&] { sort_axis(keyed_y, by_y, false); });
+    level.assign(1, {0, movable.size(), fp.core});
+    while (!level.empty()) {
+      next.assign(2 * level.size(), Frame{});
+      runtime::parallel_for(
+          level.size(),
+          [&](std::size_t fi) {
+            const Frame& f = level[fi];
+            const std::size_t n = f.hi - f.lo;
+            if (n == 0) return;
+            const bool split_x = f.region.width() >= f.region.height();
+            const std::uint32_t* sorted = (split_x ? by_x : by_y).data() + f.lo;
+            if (n <= 8 ||
+                f.region.width() <= 4 * fp.site_width ||
+                f.region.height() <= fp.row_height) {
+              // Leaf: scatter by rank along the longer axis.
+              for (std::size_t i = 0; i < n; ++i) {
+                const double t = (static_cast<double>(i) + 0.5) /
+                                 static_cast<double>(n);
+                netlist::Instance& inst = nl.instance(movable[sorted[i]]);
+                if (split_x) {
+                  inst.pos = {
+                      f.region.lo.x + static_cast<Nm>(t * f.region.width()),
+                      f.region.center().y};
+                } else {
+                  inst.pos = {
+                      f.region.center().x,
+                      f.region.lo.y + static_cast<Nm>(t * f.region.height())};
+                }
+              }
+              return;
+            }
+            double total = 0.0;
+            for (std::size_t i = 0; i < n; ++i) total += area[sorted[i]];
+            double acc = 0.0;
+            std::size_t cut = 0;
+            while (cut < n && acc < total / 2.0) {
+              acc += area[sorted[cut]];
+              ++cut;
+            }
+            for (std::size_t i = 0; i < n; ++i) goes_low[sorted[i]] = i < cut;
+            std::uint32_t* other = (split_x ? by_y : by_x).data() + f.lo;
+            std::uint32_t* out = scratch.data() + f.lo;
+            std::size_t low = 0, high = cut;
+            for (std::size_t i = 0; i < n; ++i) {
+              out[goes_low[other[i]] ? low++ : high++] = other[i];
+            }
+            std::copy(out, out + n, other);
+            Frame& a = next[2 * fi];
+            Frame& b = next[2 * fi + 1];
+            a = {f.lo, f.lo + cut, {}};
+            b = {f.lo + cut, f.hi, {}};
+            if (split_x) {
+              const Nm mid = f.region.center().x;
+              a.region = {f.region.lo, {mid, f.region.hi.y}};
+              b.region = {{mid, f.region.lo.y}, f.region.hi};
+            } else {
+              const Nm mid = f.region.center().y;
+              a.region = {f.region.lo, {f.region.hi.x, mid}};
+              b.region = {{f.region.lo.x, mid}, f.region.hi};
+            }
+          },
+          threads, 0);
+      next.erase(std::remove_if(next.begin(), next.end(),
+                                [](const Frame& f) { return f.lo == f.hi; }),
+                 next.end());
+      std::swap(level, next);
     }
   };
 
@@ -384,40 +506,8 @@ PlacementResult place(Netlist& nl, const Floorplan& fp, const PowerPlan& pp,
   for (InstId id : order) {
     netlist::Instance& inst = nl.instance(id);
     const Nm w = inst.type->width();
-    const int want_row = std::clamp(
-        static_cast<int>(inst.pos.y / fp.row_height), 0,
-        fp.num_rows() - 1);
-    Nm best_cost = std::numeric_limits<Nm>::max();
-    RowState* best_row = nullptr;
-    Segment* best_seg = nullptr;
-    Nm best_x = 0;
-    for (int dr = 0; dr < fp.num_rows(); ++dr) {
-      for (int sgn : {1, -1}) {
-        const int r = want_row + sgn * dr;
-        if (sgn < 0 && dr == 0) continue;
-        if (r < 0 || r >= fp.num_rows()) continue;
-        const Nm dy = std::abs(rows[static_cast<std::size_t>(r)].y - inst.pos.y);
-        if (dy >= best_cost) continue;  // rows are visited near-to-far
-        for (Segment& seg :
-             rows[static_cast<std::size_t>(r)].segments) {
-          const auto x = seg.best_position(w, inst.pos.x, fp.site_width);
-          if (!x) continue;
-          const Nm cost = std::abs(*x - inst.pos.x) + dy;
-          if (cost < best_cost) {
-            best_cost = cost;
-            best_row = &rows[static_cast<std::size_t>(r)];
-            best_seg = &seg;
-            best_x = *x;
-          }
-        }
-      }
-      // Stop expanding once the row distance alone exceeds the best cost.
-      if (best_row &&
-          static_cast<Nm>(dr) * fp.row_height > best_cost) {
-        break;
-      }
-    }
-    if (!best_row) {
+    const Slot slot = find_slot(rows, fp, w, inst.pos);
+    if (!slot.row) {
       ++unplaced;
       // Clamp somewhere sane so downstream stages see finite coordinates.
       inst.pos = {std::clamp<Nm>(inst.pos.x, 0,
@@ -426,14 +516,14 @@ PlacementResult place(Netlist& nl, const Floorplan& fp, const PowerPlan& pp,
                                  0, (fp.num_rows() - 1) * fp.row_height)};
       continue;
     }
-    const double disp_um = geom::to_um(std::abs(best_x - inst.pos.x) +
-                                       std::abs(best_row->y - inst.pos.y));
+    const double disp_um = geom::to_um(std::abs(slot.x - inst.pos.x) +
+                                       std::abs(slot.row->y - inst.pos.y));
     disp_sum_um += disp_um;
     ++disp_n;
     res.max_displacement_um = std::max(res.max_displacement_um, disp_um);
     if (disp_hist != nullptr) disp_hist->observe(disp_um);
-    inst.pos = {best_x, best_row->y};
-    best_seg->occupy(best_x, w);
+    inst.pos = {slot.x, slot.row->y};
+    slot.seg->occupy(slot.x, w);
   }
   res.mean_displacement_um =
       disp_n > 0 ? disp_sum_um / static_cast<double>(disp_n) : 0.0;
@@ -517,38 +607,10 @@ void IncrementalLegalizer::occupy(geom::Point pos, geom::Nm width) {
 
 std::optional<geom::Point> IncrementalLegalizer::claim(geom::Nm width,
                                                        geom::Point desired) {
-  const Floorplan& fp = *impl_->fp;
-  std::vector<RowState>& rows = impl_->rows;
-  const int want_row = std::clamp(
-      static_cast<int>(desired.y / fp.row_height), 0, fp.num_rows() - 1);
-  Nm best_cost = std::numeric_limits<Nm>::max();
-  RowState* best_row = nullptr;
-  Segment* best_seg = nullptr;
-  Nm best_x = 0;
-  for (int dr = 0; dr < fp.num_rows(); ++dr) {
-    for (int sgn : {1, -1}) {
-      const int r = want_row + sgn * dr;
-      if (sgn < 0 && dr == 0) continue;
-      if (r < 0 || r >= fp.num_rows()) continue;
-      const Nm dy = std::abs(rows[static_cast<std::size_t>(r)].y - desired.y);
-      if (dy >= best_cost) continue;
-      for (Segment& seg : rows[static_cast<std::size_t>(r)].segments) {
-        const auto x = seg.best_position(width, desired.x, fp.site_width);
-        if (!x) continue;
-        const Nm cost = std::abs(*x - desired.x) + dy;
-        if (cost < best_cost) {
-          best_cost = cost;
-          best_row = &rows[static_cast<std::size_t>(r)];
-          best_seg = &seg;
-          best_x = *x;
-        }
-      }
-    }
-    if (best_row && static_cast<Nm>(dr) * fp.row_height > best_cost) break;
-  }
-  if (!best_row) return std::nullopt;
-  best_seg->occupy(best_x, width);
-  return geom::Point{best_x, best_row->y};
+  const Slot slot = find_slot(impl_->rows, *impl_->fp, width, desired);
+  if (!slot.row) return std::nullopt;
+  slot.seg->occupy(slot.x, width);
+  return geom::Point{slot.x, slot.row->y};
 }
 
 }  // namespace ffet::pnr

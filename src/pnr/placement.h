@@ -2,8 +2,9 @@
 //
 // Two phases:
 //   1. Global placement: seeded-random start, then iterative centroid pulls
-//      interleaved with bin-based density spreading (a lightweight
-//      force-directed scheme).
+//      (Jacobi steps on the quadratic wirelength system, IO ports as
+//      anchors) interleaved with recursive equal-area bisection spreading
+//      that keeps the cells' relative order along each cut axis.
 //   2. Legalization: row-based Tetris packing into the free segments left
 //      between the power plan's FIXED obstacles (Power Tap Cells / nTSV
 //      pads).
@@ -36,8 +37,14 @@ inline constexpr double kMaxPlacementDensity = 0.875;
 
 struct PlacementOptions {
   unsigned seed = 1;
-  int iterations = 24;        ///< centroid/spreading rounds
+  /// Phase-1 centroid passes from the random start; the six
+  /// spread-and-re-pull rounds that follow are fixed.
+  int iterations = 24;
   double pull_strength = 0.7; ///< blend factor toward the connectivity centroid
+  /// Threads for the global-placement passes (resolved like
+  /// FlowConfig::threads).  The result is bit-identical at any count;
+  /// legalization is always serial.
+  int threads = 1;
 };
 
 struct PlacementResult {

@@ -2,6 +2,8 @@
 // (Power Tap Cells / nTSV), placement + legalization, CTS, and the
 // dual-sided router (Algorithm 1 invariants).
 
+#include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <functional>
 #include <map>
@@ -284,6 +286,84 @@ TEST_F(PnrTest, PlacementBeatsRandomOnWirelength) {
   ASSERT_TRUE(res.legal);
   // Global placement must recover substantial locality over random.
   EXPECT_LT(res.hpwl_um, 0.75 * random_hpwl);
+}
+
+/// FNV-1a over every instance position and the result's HPWL (printed to
+/// 17 significant digits): a fingerprint of the exact placement bits.
+std::uint64_t placement_hash(const netlist::Netlist& nl,
+                             const PlacementResult& res) {
+  std::uint64_t h = 1469598103934665603ull;
+  auto mix = [&h](const void* p, std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i) {
+      h ^= static_cast<const unsigned char*>(p)[i];
+      h *= 1099511628211ull;
+    }
+  };
+  for (const auto& inst : nl.instances()) {
+    mix(&inst.pos.x, sizeof inst.pos.x);
+    mix(&inst.pos.y, sizeof inst.pos.y);
+  }
+  char hpwl[32];
+  const int n = std::snprintf(hpwl, sizeof hpwl, "%.17g", res.hpwl_um);
+  mix(hpwl, static_cast<std::size_t>(n));
+  return h;
+}
+
+std::uint64_t golden_place(netlist::Netlist nl, const tech::Technology& tech,
+                           const stdcell::Library& lib, unsigned seed,
+                           int threads) {
+  FloorplanOptions fo;
+  fo.target_utilization = 0.65;
+  const Floorplan fp = make_floorplan(nl, tech, fo);
+  const PowerPlan pp = build_power_plan(nl, fp, lib);
+  PlacementOptions po;
+  po.seed = seed;
+  po.threads = threads;
+  const PlacementResult res = place(nl, fp, pp, po);
+  return placement_hash(nl, res);
+}
+
+// Golden fingerprints of the placements produced by a per-pin walk of
+// every net (centroid pass) and a per-frame comparator sort (spread
+// pass): the net-sum and partitioned kernels must reproduce them bit for
+// bit, at any thread count.
+TEST_F(PnrTest, PlacementMatchesGoldenHashOnRv32) {
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE(threads);
+    EXPECT_EQ(golden_place(*ffet_core_, *ffet_tech_, *ffet_lib_, 1, threads),
+              0x3256baf757fa79fdull);
+    EXPECT_EQ(golden_place(*ffet_core_, *ffet_tech_, *ffet_lib_, 7, threads),
+              0x4ebf8a545905fe98ull);
+  }
+}
+
+// The cases where a net-sum centroid can diverge from a per-pin walk: a
+// cell with two input pins on one net (self-exclusion counts that net once
+// per pin) and nets driven or loaded by primary ports (the port term).
+TEST_F(PnrTest, PlacementMatchesGoldenHashOnSharedPinNets) {
+  Builder b("shared_pins", ffet_lib_);
+  const NetId clk = b.input("clk");
+  b.netlist().mark_clock_net(clk);
+  const NetId a = b.input("a");
+  const NetId c = b.input("c");
+  NetId x = b.and2(a, a);  // both input pins on the port-driven net
+  NetId y = b.nand2(x, c);
+  for (int i = 0; i < 24; ++i) {
+    const NetId z = b.xor2(y, y);  // both input pins on a cell-driven net
+    y = b.aoi21(z, x, i % 3 == 0 ? a : z);
+    x = b.nor2(x, z);
+    if (i % 6 == 5) y = b.dff(y, clk);
+  }
+  b.output("x", x);
+  b.output("y", y);
+  const netlist::Netlist nl = b.take();
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE(threads);
+    EXPECT_EQ(golden_place(nl, *ffet_tech_, *ffet_lib_, 1, threads),
+              0xd0114f50b2e697aeull);
+    EXPECT_EQ(golden_place(nl, *ffet_tech_, *ffet_lib_, 7, threads),
+              0x07cf3cc7c4e2a692ull);
+  }
 }
 
 // --- CTS ------------------------------------------------------------------------

@@ -7,11 +7,13 @@
 #include <atomic>
 #include <cstdlib>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "flow/flow.h"
 #include "liberty/characterize.h"
 #include "netlist/builder.h"
+#include "netlist/workload.h"
 #include "pnr/cts.h"
 #include "pnr/floorplan.h"
 #include "pnr/placement.h"
@@ -165,6 +167,46 @@ TEST(Determinism, ConcurrentSideRoutingMatchesSerial) {
   EXPECT_EQ(a.overflow_total, b.overflow_total);
   EXPECT_EQ(a.drv_estimate, b.drv_estimate);
   EXPECT_EQ(a.valid, b.valid);
+}
+
+TEST(Determinism, PlacementMatchesSerial) {
+  tech::Technology tech = tech::make_ffet_3p5t();
+  stdcell::PinConfig pins;
+  pins.backside_input_fraction = 0.5;
+  stdcell::Library lib = stdcell::build_library(tech, pins);
+  netlist::WorkloadOptions wo;
+  wo.num_gates = 1500;
+  wo.num_flops = 150;
+  const netlist::Netlist base = netlist::generate_workload(lib, wo);
+
+  pnr::FloorplanOptions fo;
+  fo.target_utilization = 0.7;
+  auto run = [&](int threads) {
+    netlist::Netlist nl = base;
+    const pnr::Floorplan fp = pnr::make_floorplan(nl, tech, fo);
+    const pnr::PowerPlan pp = pnr::build_power_plan(nl, fp, lib);
+    pnr::PlacementOptions po;
+    po.seed = 3;
+    po.threads = threads;
+    const pnr::PlacementResult res = pnr::place(nl, fp, pp, po);
+    std::vector<geom::Point> pos;
+    for (const auto& inst : nl.instances()) pos.push_back(inst.pos);
+    return std::make_pair(res, pos);
+  };
+  const auto [serial, serial_pos] = run(1);
+  ASSERT_TRUE(serial.legal) << serial.message;
+  for (int threads : {2, 4}) {
+    SCOPED_TRACE(threads);
+    const auto [par, par_pos] = run(threads);
+    EXPECT_EQ(par_pos, serial_pos);
+    EXPECT_EQ(par.legal, serial.legal);
+    EXPECT_EQ(par.violations, serial.violations);
+    EXPECT_EQ(par.hpwl_um, serial.hpwl_um);
+    EXPECT_EQ(par.density, serial.density);
+    EXPECT_EQ(par.mean_displacement_um, serial.mean_displacement_um);
+    EXPECT_EQ(par.max_displacement_um, serial.max_displacement_um);
+    EXPECT_EQ(par.message, serial.message);
+  }
 }
 
 TEST(Determinism, RunSweepMatchesSerialRunPhysical) {
