@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <limits>
 #include <numeric>
 #include <queue>
+#include <span>
 #include <stdexcept>
 #include <unordered_map>
 #include <vector>
@@ -1005,81 +1007,149 @@ struct TwoPin {
   int len = 0;     ///< Manhattan endpoint distance (route-order key)
 };
 
-/// Per-side stage-2 state: the 2-pin subnets, their committed paths, and
-/// the gcell -> passing-subnets color map that lets a congestion region
-/// collect the subnets crossing it without scanning every path.
-struct TwoPinSide {
-  std::vector<TwoPin> tps;
-  std::vector<std::vector<int>> paths;          ///< committed node lists
-  std::vector<std::vector<int>> cell_tps;       ///< gcell -> tp ids
-  std::vector<std::size_t> route_order;         ///< (len, id) ascending
+/// Per-side refcounts of (parent subnet, grid edge key) pairs: how many of
+/// a parent's 2-pin paths cross the edge.  Each parent owns one slice of a
+/// flat arena holding its (key, count) entries sorted by key — the way
+/// NTHU-Route keeps router state in flat arrays rather than in per-net
+/// node containers.  A slice is sized up front from the parent's pieces'
+/// lengths; one that fills moves to the arena's end at twice its capacity.
+/// A parent's entries are its route's edge set in emit order.
+class EdgeRefs {
+ public:
+  struct Entry {
+    int key = 0;
+    int count = 0;
+  };
+
+  explicit EdgeRefs(std::size_t parents = 0) : slices_(parents) {}
+
+  /// Room for `n` entries of `parent` (call before its first add).
+  void reserve(int parent, std::size_t n) {
+    Slice& sl = slices_[static_cast<std::size_t>(parent)];
+    sl.begin = arena_.size();
+    sl.cap = n;
+    arena_.resize(arena_.size() + n);
+  }
+
+  /// One more crossing of `key` by `parent`'s paths; true on 0 -> 1.
+  bool add(int parent, int key) {
+    Slice& sl = slices_[static_cast<std::size_t>(parent)];
+    Entry* first = arena_.data() + sl.begin;
+    Entry* it = lower(first, sl.size, key);
+    if (it != first + sl.size && it->key == key) {
+      ++it->count;
+      return false;
+    }
+    const auto pos = static_cast<std::size_t>(it - first);
+    if (sl.size == sl.cap) {
+      grow(sl);
+      first = arena_.data() + sl.begin;
+    }
+    std::move_backward(first + pos, first + sl.size, first + sl.size + 1);
+    first[pos] = {key, 1};
+    ++sl.size;
+    return true;
+  }
+
+  /// One crossing fewer; true on 1 -> 0, which drops the entry.  The pair
+  /// must be present (a rip only undoes a commit).
+  bool remove(int parent, int key) {
+    Slice& sl = slices_[static_cast<std::size_t>(parent)];
+    Entry* first = arena_.data() + sl.begin;
+    Entry* it = lower(first, sl.size, key);
+    if (--it->count != 0) return false;
+    std::move(it + 1, first + sl.size, it);
+    --sl.size;
+    return true;
+  }
+
+  /// Drop every entry; slices keep their capacity.
+  void clear() {
+    for (Slice& sl : slices_) sl.size = 0;
+  }
+
+  /// `parent`'s entries, ascending by key.
+  std::span<const Entry> entries(int parent) const {
+    const Slice& sl = slices_[static_cast<std::size_t>(parent)];
+    return {arena_.data() + sl.begin, sl.size};
+  }
+
+ private:
+  struct Slice {
+    std::size_t begin = 0;
+    std::size_t size = 0;
+    std::size_t cap = 0;
+  };
+
+  static Entry* lower(Entry* first, std::size_t n, int key) {
+    return std::lower_bound(
+        first, first + n, key,
+        [](const Entry& en, int k) { return en.key < k; });
+  }
+  void grow(Slice& sl) {
+    const std::size_t begin = arena_.size();
+    const std::size_t cap = std::max<std::size_t>(4, 2 * sl.cap);
+    arena_.resize(begin + cap);
+    std::copy_n(arena_.begin() + static_cast<std::ptrdiff_t>(sl.begin),
+                sl.size, arena_.begin() + static_cast<std::ptrdiff_t>(begin));
+    sl.begin = begin;
+    sl.cap = cap;
+  }
+
+  std::vector<Slice> slices_;  ///< by parent subnet id
+  std::vector<Entry> arena_;
 };
 
-/// (direction, edge index) of the grid edge between adjacent nodes u, v;
-/// direction 0 is horizontal, 1 vertical.
-std::pair<int, int> edge_key(const SideGrid& g, int u, int v) {
+/// Per-side stage-2 state: the 2-pin subnets, their committed paths, and
+/// their parents' edge refcounts.
+struct TwoPinSide {
+  std::vector<TwoPin> tps;
+  std::vector<std::vector<int>> paths;   ///< committed node lists
+  std::vector<std::size_t> route_order;  ///< (len, id) ascending
+  EdgeRefs refs;
+};
+
+/// Edge key of the grid edge between adjacent nodes u, v: the edge index
+/// shifted left by one, or'ed with the direction (0 horizontal, 1
+/// vertical).  Ascending keys are the stable emit order of a route.
+int edge_key(const SideGrid& g, int u, int v) {
   const int a = std::min(u, v);
   const int b = std::max(u, v);
   const int c = g.col_of(a), r = g.row_of(a);
-  if (b == a + 1) return {0, g.h_edge(c, r)};
-  return {1, g.v_edge(c, r)};
+  if (b == a + 1) return g.h_edge(c, r) << 1;
+  return (g.v_edge(c, r) << 1) | 1;
+}
+
+/// Apply (sign +1) or remove (-1) one grid edge's usage by key.
+void apply_use_key(SideGrid& g, int key, double sign) {
+  const auto e = static_cast<std::size_t>(key >> 1);
+  if ((key & 1) == 0) {
+    g.apply_use_h(e, sign);
+  } else {
+    g.apply_use_v(e, sign);
+  }
 }
 
 /// Commit a 2-pin path: bump the parent subnet's per-edge refcounts (the
 /// grid sees +1 only on a 0 -> 1 transition, so overlapping paths of one
-/// net occupy one track, exactly like the stage-1 tree commit), and color
-/// every gcell the path crosses with the subnet id.
-void commit_tp(SideGrid& g, TwoPinSide& ts,
-               std::vector<std::unordered_map<int, int>>& edge_refs,
-               std::size_t tp_id, std::vector<int> path) {
-  auto& refs = edge_refs[static_cast<std::size_t>(ts.tps[tp_id].parent)];
+/// net occupy one track, exactly like the stage-1 tree commit).
+void commit_tp(SideGrid& g, TwoPinSide& ts, std::size_t tp_id,
+               std::vector<int> path) {
+  const int parent = ts.tps[tp_id].parent;
   for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-    const auto [dir, e] = edge_key(g, path[i], path[i + 1]);
-    const int key = (e << 1) | dir;
-    if (++refs[key] == 1) {
-      if (dir == 0) {
-        g.apply_use_h(static_cast<std::size_t>(e), +1.0);
-      } else {
-        g.apply_use_v(static_cast<std::size_t>(e), +1.0);
-      }
-    }
-  }
-  for (int n : path) {
-    ts.cell_tps[static_cast<std::size_t>(n)].push_back(
-        static_cast<int>(tp_id));
+    const int key = edge_key(g, path[i], path[i + 1]);
+    if (ts.refs.add(parent, key)) apply_use_key(g, key, +1.0);
   }
   ts.paths[tp_id] = std::move(path);
 }
 
-/// Undo commit_tp: decrement refcounts (grid sees -1 only on 1 -> 0) and
-/// swap-remove the subnet from the color map of every crossed gcell.
-void rip_tp(SideGrid& g, TwoPinSide& ts,
-            std::vector<std::unordered_map<int, int>>& edge_refs,
-            std::size_t tp_id) {
+/// Undo commit_tp: decrement refcounts (grid sees -1 only on 1 -> 0).
+void rip_tp(SideGrid& g, TwoPinSide& ts, std::size_t tp_id) {
   std::vector<int>& path = ts.paths[tp_id];
-  auto& refs = edge_refs[static_cast<std::size_t>(ts.tps[tp_id].parent)];
+  const int parent = ts.tps[tp_id].parent;
   for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-    const auto [dir, e] = edge_key(g, path[i], path[i + 1]);
-    const int key = (e << 1) | dir;
-    const auto it = refs.find(key);
-    if (--it->second == 0) {
-      refs.erase(it);
-      if (dir == 0) {
-        g.apply_use_h(static_cast<std::size_t>(e), -1.0);
-      } else {
-        g.apply_use_v(static_cast<std::size_t>(e), -1.0);
-      }
-    }
-  }
-  for (int n : path) {
-    std::vector<int>& cell = ts.cell_tps[static_cast<std::size_t>(n)];
-    for (std::size_t i = 0; i < cell.size(); ++i) {
-      if (cell[i] == static_cast<int>(tp_id)) {
-        cell[i] = cell.back();
-        cell.pop_back();
-        break;
-      }
-    }
+    const int key = edge_key(g, path[i], path[i + 1]);
+    if (ts.refs.remove(parent, key)) apply_use_key(g, key, -1.0);
   }
   path.clear();
 }
@@ -1089,8 +1159,8 @@ void rip_tp(SideGrid& g, TwoPinSide& ts,
 void overlay_add(UseOverlay& ov, const SideGrid& g,
                  const std::vector<int>& path) {
   for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-    const auto [dir, e] = edge_key(g, path[i], path[i + 1]);
-    (dir == 0 ? ov.h : ov.v)[e] += 1.0;
+    const int key = edge_key(g, path[i], path[i + 1]);
+    ((key & 1) == 0 ? ov.h : ov.v)[key >> 1] += 1.0;
   }
 }
 
@@ -1230,6 +1300,16 @@ std::vector<int> route_tp_search(const RouteOptions& options, SideGrid& g,
   return path;
 }
 
+/// Soft- (`hard` false) or hard-overflowed grid edge by key: its load is
+/// beyond the capacity.
+bool key_over(const SideGrid& g, int key, bool hard) {
+  const auto e = static_cast<std::size_t>(key >> 1);
+  if ((key & 1) == 0) {
+    return g.h_base[e] + g.h_use[e] > (hard ? g.h_cap_hard : g.h_cap);
+  }
+  return g.v_base[e] + g.v_use[e] > (hard ? g.v_cap_hard : g.v_cap);
+}
+
 /// The stage-2 route loop: Steiner-decompose every subnet into 2-pin
 /// subnets, route them short-first (fast path, then A*), then negotiate by
 /// congestion region — cluster the overflowed gcells, rip only the subnets
@@ -1245,43 +1325,61 @@ void route_astar2(RouteResult& res, const RouteOptions& options,
                   std::array<PathRouter, 2>& routers,
                   std::vector<std::vector<GEdge>>& route_edges) {
   // --- decompose over Steiner topologies -----------------------------------
+  // Each subnet's tree is a pure function of its terminals: build them in
+  // parallel into per-subnet piece lists (chunks of 32 subnets, so
+  // neighbouring lists are written by one thread), then concatenate per
+  // side in subnet-id order.
   std::array<TwoPinSide, 2> sides;
-  std::vector<std::unordered_map<int, int>> edge_refs(subnets.size());
-  for (std::size_t si = 0; si < subnets.size(); ++si) {
-    const SubNet& sn = subnets[si];
-    const auto sz = static_cast<std::size_t>(sidx(sn.side));
-    SideGrid& g = grids[sz];
-    TwoPinSide& ts = sides[sz];
-    std::vector<int> term_nodes;
-    std::vector<SteinerPoint> terms;
-    auto add_term = [&](int n) {
-      for (int m : term_nodes) {
-        if (m == n) return;
+  for (TwoPinSide& ts : sides) ts.refs = EdgeRefs(subnets.size());
+  {
+    FFET_TRACE_SCOPE("route.steiner");
+    std::vector<std::vector<TwoPin>> pieces(subnets.size());
+    runtime::parallel_for(
+        subnets.size(),
+        [&](std::size_t si) {
+          const SubNet& sn = subnets[si];
+          const SideGrid& g = grids[static_cast<std::size_t>(sidx(sn.side))];
+          std::vector<int> term_nodes;
+          std::vector<SteinerPoint> terms;
+          auto add_term = [&](int n) {
+            for (int m : term_nodes) {
+              if (m == n) return;
+            }
+            term_nodes.push_back(n);
+            terms.push_back({g.col_of(n), g.row_of(n)});
+          };
+          add_term(sn.source);
+          for (int s : sn.sinks) add_term(s);
+          if (terms.size() < 2) return;  // all terminals share one gcell
+          const SteinerTree tree = build_steiner_tree(terms);
+          for (const SteinerSeg& seg : tree.segs) {
+            const SteinerPoint& pa =
+                tree.points[static_cast<std::size_t>(seg.a)];
+            const SteinerPoint& pb =
+                tree.points[static_cast<std::size_t>(seg.b)];
+            if (pa == pb) continue;
+            pieces[si].push_back(
+                {.parent = static_cast<int>(si),
+                 .a = g.node(pa.c, pa.r),
+                 .b = g.node(pb.c, pb.r),
+                 .len = std::abs(pa.c - pb.c) + std::abs(pa.r - pb.r)});
+          }
+        },
+        options.threads, 32);
+    for (std::size_t si = 0; si < subnets.size(); ++si) {
+      TwoPinSide& ts = sides[static_cast<std::size_t>(sidx(subnets[si].side))];
+      ts.tps.insert(ts.tps.end(), pieces[si].begin(), pieces[si].end());
+      // A fast-path route crosses exactly `len` edges: room for the
+      // parent's initial route without a move.
+      std::size_t len = 0;
+      for (const TwoPin& tp : pieces[si]) {
+        len += static_cast<std::size_t>(tp.len);
       }
-      term_nodes.push_back(n);
-      terms.push_back({g.col_of(n), g.row_of(n)});
-    };
-    add_term(sn.source);
-    for (int s : sn.sinks) add_term(s);
-    if (terms.size() < 2) continue;  // all terminals share one gcell
-    const SteinerTree tree = build_steiner_tree(terms);
-    for (const SteinerSeg& seg : tree.segs) {
-      const SteinerPoint& pa = tree.points[static_cast<std::size_t>(seg.a)];
-      const SteinerPoint& pb = tree.points[static_cast<std::size_t>(seg.b)];
-      if (pa == pb) continue;
-      TwoPin tp;
-      tp.parent = static_cast<int>(si);
-      tp.a = g.node(pa.c, pa.r);
-      tp.b = g.node(pb.c, pb.r);
-      tp.len = std::abs(pa.c - pb.c) + std::abs(pa.r - pb.r);
-      ts.tps.push_back(tp);
+      ts.refs.reserve(static_cast<int>(si), len);
     }
   }
-  for (int s = 0; s < 2; ++s) {
-    TwoPinSide& ts = sides[static_cast<std::size_t>(s)];
-    const SideGrid& g = grids[static_cast<std::size_t>(s)];
+  for (TwoPinSide& ts : sides) {
     ts.paths.assign(ts.tps.size(), {});
-    ts.cell_tps.assign(static_cast<std::size_t>(g.cols * g.rows), {});
     ts.route_order.resize(ts.tps.size());
     std::iota(ts.route_order.begin(), ts.route_order.end(), std::size_t{0});
     std::sort(ts.route_order.begin(), ts.route_order.end(),
@@ -1303,7 +1401,7 @@ void route_astar2(RouteResult& res, const RouteOptions& options,
       std::vector<int> path =
           route_tp_search(options, grids[sz], routers[sz], nullptr,
                           sides[sz].tps[t], fastpath[sz]);
-      commit_tp(grids[sz], sides[sz], edge_refs, t, std::move(path));
+      commit_tp(grids[sz], sides[sz], t, std::move(path));
     }
   });
 
@@ -1323,13 +1421,7 @@ void route_astar2(RouteResult& res, const RouteOptions& options,
   // `repaired` field of the pass record that follows the repair.
   auto crosses_hard = [](const SideGrid& g, const std::vector<int>& path) {
     for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-      const auto [dir, e] = edge_key(g, path[i], path[i + 1]);
-      const auto ei = static_cast<std::size_t>(e);
-      if (dir == 0) {
-        if (g.h_base[ei] + g.h_use[ei] > g.h_cap_hard) return true;
-      } else {
-        if (g.v_base[ei] + g.v_use[ei] > g.v_cap_hard) return true;
-      }
+      if (key_over(g, edge_key(g, path[i], path[i + 1]), true)) return true;
     }
     return false;
   };
@@ -1343,6 +1435,7 @@ void route_astar2(RouteResult& res, const RouteOptions& options,
       std::vector<double>(sides[1].tps.size(),
                           std::numeric_limits<double>::infinity())};
   auto repair_hard = [&](int s) {
+    FFET_TRACE_SCOPE("route.repair.", s == 0 ? "front" : "back");
     const auto sz = static_cast<std::size_t>(s);
     SideGrid& g = grids[sz];
     TwoPinSide& ts = sides[sz];
@@ -1355,7 +1448,7 @@ void route_astar2(RouteResult& res, const RouteOptions& options,
         if (g.hard_overflow() >= repair_fail_at[sz][t]) continue;
         std::vector<int> old_path = ts.paths[t];
         const double before = g.hard_overflow();
-        rip_tp(g, ts, edge_refs, t);
+        rip_tp(g, ts, t);
         std::vector<int> repl =
             monotone_fast_path(g, nullptr, ts.tps[t].a, ts.tps[t].b);
         if (repl.empty()) {
@@ -1365,18 +1458,18 @@ void route_astar2(RouteResult& res, const RouteOptions& options,
         }
         bool accepted = false;
         if (!repl.empty()) {
-          commit_tp(g, ts, edge_refs, t, std::move(repl));
+          commit_tp(g, ts, t, std::move(repl));
           if (g.hard_overflow() < before) {
             accepted = true;
           } else {
-            rip_tp(g, ts, edge_refs, t);
+            rip_tp(g, ts, t);
           }
         }
         if (accepted) {
           improved = true;
           ++repaired;
         } else {
-          commit_tp(g, ts, edge_refs, t, std::move(old_path));
+          commit_tp(g, ts, t, std::move(old_path));
           repair_fail_at[sz][t] = g.hard_overflow();
         }
       }
@@ -1402,9 +1495,6 @@ void route_astar2(RouteResult& res, const RouteOptions& options,
       hard_floor += std::max(0.0, g.v_base[e] - g.v_cap_hard);
     }
   }
-  std::array<std::vector<std::vector<int>>, 2> best_paths{sides[0].paths,
-                                                          sides[1].paths};
-  bool current_is_best = true;
   record_pass(res,
               {.pass = 0,
                .ripped_front = static_cast<int>(sides[0].tps.size()),
@@ -1430,7 +1520,8 @@ void route_astar2(RouteResult& res, const RouteOptions& options,
     // it, and seeding regions from it merges the whole die into one giant
     // region that churns every pass for nothing.
     std::vector<int> hot;
-    std::vector<char> is_hot(static_cast<std::size_t>(g.cols * g.rows), 0);
+    const auto cells = static_cast<std::size_t>(g.cols * g.rows);
+    std::vector<char> is_hot(cells, 0);
     for (int r = 0; r < g.rows; ++r) {
       for (int c = 0; c + 1 < g.cols; ++c) {
         const auto e = static_cast<std::size_t>(g.h_edge(c, r));
@@ -1458,6 +1549,25 @@ void route_astar2(RouteResult& res, const RouteOptions& options,
       return;
     }
 
+    // The gcell -> pieces color map, a CSR built from the committed paths
+    // at this barrier (NTHU-Route's init_gridcell): commits and rips never
+    // maintain it, and a route that runs no pass never builds it.
+    std::vector<int> cell_start(cells + 1, 0);
+    for (const std::vector<int>& path : ts.paths) {
+      for (int n : path) ++cell_start[static_cast<std::size_t>(n) + 1];
+    }
+    std::partial_sum(cell_start.begin(), cell_start.end(), cell_start.begin());
+    std::vector<int> cell_tps(static_cast<std::size_t>(cell_start.back()));
+    {
+      std::vector<int> fill(cell_start.begin(), cell_start.end() - 1);
+      for (std::size_t t = 0; t < ts.paths.size(); ++t) {
+        for (int n : ts.paths[t]) {
+          cell_tps[static_cast<std::size_t>(
+              fill[static_cast<std::size_t>(n)]++)] = static_cast<int>(t);
+        }
+      }
+    }
+
     // Claim the rip set.  The color map narrows candidates to subnets
     // touching a hot gcell; the rip criterion is then the exact PathFinder
     // one — the path crosses an *overflowed edge* (the margin-expanded
@@ -1466,7 +1576,7 @@ void route_astar2(RouteResult& res, const RouteOptions& options,
     // transits it).  Each ripped subnet joins the region of the first hot
     // gcell along its path; hot gcells seeded the clustering, so that
     // region always exists, and the assignment is deterministic.
-    std::vector<int> region_of(static_cast<std::size_t>(g.cols * g.rows), -1);
+    std::vector<int> region_of(cells, -1);
     for (std::size_t ri = 0; ri < regions.size(); ++ri) {
       const CongestionRegion& reg = regions[ri];
       for (int r = reg.r_lo; r <= reg.r_hi; ++r) {
@@ -1477,10 +1587,10 @@ void route_astar2(RouteResult& res, const RouteOptions& options,
       }
     }
     std::vector<int> cand_ids;
-    for (std::size_t n = 0; n < is_hot.size(); ++n) {
+    for (std::size_t n = 0; n < cells; ++n) {
       if (!is_hot[n]) continue;
-      const auto& cell = ts.cell_tps[n];
-      cand_ids.insert(cand_ids.end(), cell.begin(), cell.end());
+      cand_ids.insert(cand_ids.end(), cell_tps.begin() + cell_start[n],
+                      cell_tps.begin() + cell_start[n + 1]);
     }
     std::sort(cand_ids.begin(), cand_ids.end());
     cand_ids.erase(std::unique(cand_ids.begin(), cand_ids.end()),
@@ -1490,12 +1600,10 @@ void route_astar2(RouteResult& res, const RouteOptions& options,
       const std::vector<int>& path = ts.paths[static_cast<std::size_t>(t)];
       bool crosses = false;
       for (std::size_t i = 0; i + 1 < path.size() && !crosses; ++i) {
-        const auto [dir, e] = edge_key(g, path[i], path[i + 1]);
-        const auto ei = static_cast<std::size_t>(e);
-        crosses = dir == 0 ? g.h_use[ei] > 0.0 &&
-                                 g.h_base[ei] + g.h_use[ei] > g.h_cap
-                           : g.v_use[ei] > 0.0 &&
-                                 g.v_base[ei] + g.v_use[ei] > g.v_cap;
+        const int key = edge_key(g, path[i], path[i + 1]);
+        const auto e = static_cast<std::size_t>(key >> 1);
+        crosses = ((key & 1) == 0 ? g.h_use[e] : g.v_use[e]) > 0.0 &&
+                  key_over(g, key, false);
       }
       if (!crosses) continue;
       for (int n : path) {
@@ -1522,7 +1630,7 @@ void route_astar2(RouteResult& res, const RouteOptions& options,
     std::size_t n_ripped = 0;
     for (const auto& rtps : region_tps) {
       n_ripped += rtps.size();
-      for (std::size_t t : rtps) rip_tp(g, ts, edge_refs, t);
+      for (std::size_t t : rtps) rip_tp(g, ts, t);
     }
 
     // Snapshot search, batched across the pool: each region prices its own
@@ -1554,7 +1662,7 @@ void route_astar2(RouteResult& res, const RouteOptions& options,
     // Commit barrier: serial, in canonical region order.
     for (std::size_t ri = 0; ri < regions.size(); ++ri) {
       for (std::size_t k = 0; k < region_tps[ri].size(); ++k) {
-        commit_tp(g, ts, edge_refs, region_tps[ri][k], std::move(cand[ri][k]));
+        commit_tp(g, ts, region_tps[ri][k], std::move(cand[ri][k]));
       }
       routers[sz].settled += r_settled[ri];
       routers[sz].expansions += r_expansions[ri];
@@ -1563,9 +1671,15 @@ void route_astar2(RouteResult& res, const RouteOptions& options,
     ripped_counts[sz] = n_ripped;
   };
 
+  // The best state is snapshotted lazily: only when a pass is about to
+  // mutate a state that is the current best, so a route that runs no pass
+  // never copies a path.
+  std::array<std::vector<std::vector<int>>, 2> best_paths;
+  bool current_is_best = true;
   for (int pass = 1; pass < options.rrr_passes &&
                      best.hard > hard_floor + 1e-9 && best.stale < 6;
        ++pass) {
+    if (current_is_best) best_paths = {sides[0].paths, sides[1].paths};
     for_each_side(options.threads, [&](int s) { pass_side(s, pass); });
     if (ripped_counts[0] + ripped_counts[1] == 0) break;
     // Repair at the pass barrier: the pass's history update and region
@@ -1590,7 +1704,6 @@ void route_astar2(RouteResult& res, const RouteOptions& options,
                  .repaired_back = pass_repaired_back},
                 grids, routers);
     current_is_best = best.update(res.pass_stats.back());
-    if (current_is_best) best_paths = {sides[0].paths, sides[1].paths};
   }
 
   // Restore the best solution (usage arrays included, for diagnostics).
@@ -1598,59 +1711,49 @@ void route_astar2(RouteResult& res, const RouteOptions& options,
   // reproduces the exact grid state of the snapshot.
   if (!current_is_best) {
     for (SideGrid& g : grids) g.clear_use();
-    edge_refs.assign(subnets.size(), {});
     for (std::size_t sz = 0; sz < 2; ++sz) {
-      for (auto& cell : sides[sz].cell_tps) cell.clear();
+      sides[sz].refs.clear();
       for (std::size_t t = 0; t < sides[sz].tps.size(); ++t) {
-        commit_tp(grids[sz], sides[sz], edge_refs, t,
-                  std::move(best_paths[sz][t]));
+        commit_tp(grids[sz], sides[sz], t, std::move(best_paths[sz][t]));
       }
     }
   }
 
-  // Emit each parent subnet's deduplicated edge set (sorted by key for a
-  // stable order) — the per-parent refcount maps are exactly that set.
+  // Emit each parent subnet's edge set: its refcount keys, ascending.
+  FFET_TRACE_SCOPE("route.emit");
   for (std::size_t si = 0; si < subnets.size(); ++si) {
-    const SideGrid& g =
-        grids[static_cast<std::size_t>(sidx(subnets[si].side))];
-    std::vector<int> keys;
-    keys.reserve(edge_refs[si].size());
-    for (const auto& [key, cnt] : edge_refs[si]) keys.push_back(key);
-    std::sort(keys.begin(), keys.end());
-    route_edges[si].clear();
-    route_edges[si].reserve(keys.size());
-    for (int key : keys) {
-      const int dir = key & 1;
-      const int e = key >> 1;
-      int a;
-      int b;
-      if (dir == 0) {
-        const int c = e % (g.cols - 1);
-        const int r = e / (g.cols - 1);
-        a = g.node(c, r);
-        b = a + 1;
+    const auto sz = static_cast<std::size_t>(sidx(subnets[si].side));
+    const SideGrid& g = grids[sz];
+    const auto entries = sides[sz].refs.entries(static_cast<int>(si));
+    std::vector<GEdge>& edges = route_edges[si];
+    edges.clear();
+    edges.reserve(entries.size());
+    for (const EdgeRefs::Entry& en : entries) {
+      const int e = en.key >> 1;
+      if ((en.key & 1) == 0) {
+        const int a = g.node(e % (g.cols - 1), e / (g.cols - 1));
+        edges.push_back({a, a + 1});
       } else {
-        const int c = e % g.cols;
-        const int r = e / g.cols;
-        a = g.node(c, r);
-        b = a + g.cols;
+        edges.push_back({e, e + g.cols});  // v_edge(c, r) == node(c, r)
       }
-      route_edges[si].push_back({a, b});
     }
   }
   res.fastpath_routes = fastpath[0] + fastpath[1];
 }
 
 // --- results: wirelength, layer assignment, overflow + DRV accounting ---------
+/// Build res.routes from the per-subnet edge lists, which are moved out of
+/// `route_edges`, and fill the overflow, DRV and effort totals.
 void finalize_route_result(RouteResult& res, const Floorplan& fp,
                            const tech::Technology& tech,
                            const RouteOptions& options,
                            const std::vector<SubNet>& subnets,
-                           const std::vector<std::vector<GEdge>>& route_edges,
+                           std::vector<std::vector<GEdge>>& route_edges,
                            const std::array<SideGrid, 2>& grids,
                            const std::array<PathRouter, 2>& routers,
                            const std::array<long, 2>& pin_totals,
                            geom::Nm gsize) {
+  FFET_TRACE_SCOPE("route.finalize");
   const double gsize_um = geom::to_um(gsize);
   // Layer assignment by wirelength quantile: longer nets ride higher layers.
   std::vector<std::size_t> by_len(subnets.size());
@@ -1669,33 +1772,38 @@ void finalize_route_result(RouteResult& res, const Floorplan& fp,
             : 0.0;
   }
 
+  // Each side's horizontal and vertical routing layers, bottom-up.
+  std::array<std::vector<int>, 2> h_layers, v_layers;
+  for (Side s : {Side::Front, Side::Back}) {
+    const auto sz = static_cast<std::size_t>(sidx(s));
+    for (const tech::MetalLayer* l : tech.routing_layers(s)) {
+      (l->preferred_dir == geom::Dir::Horizontal ? h_layers : v_layers)[sz]
+          .push_back(l->index);
+    }
+  }
+
   res.routes.reserve(subnets.size());
   for (std::size_t si = 0; si < subnets.size(); ++si) {
     const SubNet& sn = subnets[si];
     NetRoute nr;
     nr.net = sn.net;
     nr.side = sn.side;
-    nr.edges = route_edges[si];
+    nr.edges = std::move(route_edges[si]);
     nr.sink_gcells = sn.sinks;
     nr.source_gcell = sn.source;
     nr.wirelength_um =
         static_cast<double>(nr.edges.size()) * gsize_um +
         0.2;  // local pin hookup
     // Pick the layer pair by quantile over this side's available layers.
-    const auto layers = tech.routing_layers(sn.side);
-    std::vector<int> h_layers, v_layers;
-    for (const tech::MetalLayer* l : layers) {
-      (l->preferred_dir == geom::Dir::Horizontal ? h_layers : v_layers)
-          .push_back(l->index);
-    }
     auto pick = [&](const std::vector<int>& ls) {
       if (ls.empty()) return 0;
       const auto k = static_cast<std::size_t>(
           quantile[si] * 0.999 * static_cast<double>(ls.size()));
       return ls[k];
     };
-    nr.h_layer_index = pick(h_layers);
-    nr.v_layer_index = pick(v_layers);
+    const auto sz = static_cast<std::size_t>(sidx(sn.side));
+    nr.h_layer_index = pick(h_layers[sz]);
+    nr.v_layer_index = pick(v_layers[sz]);
 
     if (sn.side == Side::Front) {
       res.wirelength_front_um += nr.wirelength_um;

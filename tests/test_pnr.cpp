@@ -848,6 +848,60 @@ TEST_F(PnrTest, RouterDeterministicAcrossThreadCounts) {
   }
 }
 
+/// FNV-1a over every NetRoute (net, side, every edge, layer pair and the
+/// wirelength at 17 significant digits) plus the DRV estimate and the
+/// effort counters: a fingerprint of the exact route bits.
+std::uint64_t route_hash(const RouteResult& rr) {
+  std::uint64_t h = 1469598103934665603ull;
+  auto mix = [&h](const void* p, std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i) {
+      h ^= static_cast<const unsigned char*>(p)[i];
+      h *= 1099511628211ull;
+    }
+  };
+  auto mix_long = [&mix](long v) { mix(&v, sizeof v); };
+  for (const NetRoute& r : rr.routes) {
+    mix_long(r.net);
+    mix_long(static_cast<long>(r.side));
+    for (const GEdge& e : r.edges) {
+      mix_long(e.a);
+      mix_long(e.b);
+    }
+    mix_long(r.h_layer_index);
+    mix_long(r.v_layer_index);
+    char wl[32];
+    const int n = std::snprintf(wl, sizeof wl, "%.17g", r.wirelength_um);
+    mix(wl, static_cast<std::size_t>(n));
+  }
+  mix_long(rr.drv_estimate);
+  mix_long(rr.ripups_total);
+  mix_long(rr.settled_nodes);
+  mix_long(rr.steiner_subnets);
+  return h;
+}
+
+// Golden fingerprints of the stage-2 routes on the rv32 core (every 2-pin
+// piece on the fast path, no negotiation pass) and on the congested
+// fixture (negotiation passes, region reroutes, repairs and a best-state
+// restore): any change to the stage-2 bookkeeping must reproduce them bit
+// for bit, at any thread count.
+TEST_F(PnrTest, RouteMatchesGoldenHash) {
+  const CongestedDesign cd(*ffet_tech_);
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE(threads);
+    RouteOptions ro;
+    ro.engine = RouteEngine::Astar2;
+    ro.threads = threads;
+    const RoutedDesign rd =
+        route_core(*ffet_core_, *ffet_tech_, *ffet_lib_, 0.6, ro);
+    EXPECT_EQ(route_hash(rd.rr), 0x0f749363d44d170eull);
+    RouteOptions cro = CongestedDesign::route_options(RouteEngine::Astar2);
+    cro.threads = threads;
+    const RouteResult cr = route_design(cd.nl, cd.fp, cro);
+    EXPECT_EQ(route_hash(cr), 0x0fdef2603ea23069ull);
+  }
+}
+
 // --- routing: stage 2 (Steiner / congestion regions) ------------------------
 
 /// Manhattan distance helper for Steiner checks.

@@ -95,6 +95,55 @@ TEST_F(DrcTest, DetectsCellOnTapBlockage) {
             0);
 }
 
+TEST_F(DrcTest, ReportsFirstOverlappingBlockageInPlanOrder) {
+  // One movable cell, shifted half a row so it spans two rows, overlaps two
+  // blockages: the first in pp.blockages order sits in its upper row only,
+  // the second in its lower row only.  The report must name the
+  // intersection with the first, whatever row it is found in.
+  netlist::Builder b("drc2", &lib_);
+  netlist::NetId x = b.input("a");
+  for (int i = 0; i < 64; ++i) x = b.inv(x);
+  b.output("z", x);
+  netlist::Netlist nl = b.take();
+  pnr::FloorplanOptions fo;
+  fo.target_utilization = 0.3;
+  const pnr::Floorplan fp = pnr::make_floorplan(nl, tech_, fo);
+  pnr::PowerPlan pp = pnr::build_power_plan(nl, fp, lib_);
+  ASSERT_TRUE(pnr::place(nl, fp, pp).legal);
+  const geom::Nm h = fp.row_height;
+  ASSERT_GE(fp.core.height(), 4 * h) << "the case needs rows to bucket";
+
+  // A movable cell whose shifted box stays two rows inside the core.
+  netlist::InstId id = 0;
+  while (nl.instance(id).fixed ||
+         nl.instance(id).pos.y + 2 * h > fp.core.hi.y) {
+    ++id;
+  }
+  nl.instance(id).pos.y += h / 2;
+  const geom::Rect box = nl.instance(id).bbox();
+  const geom::Nm x0 = box.lo.x;
+  const geom::Nm xm = box.lo.x + box.width() / 2;
+  const geom::Nm y0 = box.lo.y - h / 2;  // the lower row's bottom edge
+  const geom::Rect upper{{xm, y0 + h}, {box.hi.x + 50, y0 + 2 * h}};
+  const geom::Rect lower{{x0 - 50, y0}, {xm, y0 + h}};
+  ASSERT_TRUE(box.overlaps_interior(upper));
+  ASSERT_TRUE(box.overlaps_interior(lower));
+  pp.blockages = {upper, lower};
+
+  const pnr::DrcReport rep = pnr::check_placement(nl, fp, pp);
+  int hits = 0;
+  for (const pnr::DrcViolation& v : rep.violations) {
+    if (v.kind != pnr::DrcViolation::Kind::BlockageOverlap ||
+        v.a != nl.instance_name(id)) {
+      continue;
+    }
+    ++hits;
+    EXPECT_EQ(v.where, box.intersected(upper));
+    EXPECT_EQ(v.where, (geom::Rect{{xm, y0 + h}, {box.hi.x, box.hi.y}}));
+  }
+  EXPECT_EQ(hits, 1);
+}
+
 // --- cost model -----------------------------------------------------------------
 
 TEST(CostModel, FfetCostsMoreThanCfetAtFullStack) {
