@@ -34,7 +34,8 @@ pnr::RouteResult route_with(const flow::DesignContext& ctx, double util,
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  bench::parse_bench_args(argc, argv, "bench_ablation");
   bench::print_title("Ablation",
                      "Which mechanism carries which paper result");
   bench::SweepTimer timer("bench_ablation", 9);

@@ -32,13 +32,23 @@ namespace ffet::bench {
 ///   --quick         reduced sweep (each bench decides what that means)
 ///   --trace[=path]  enable span tracing; dump a Chrome trace-event JSON
 ///                   to `path` (default "trace_<bench>.json") at exit
-/// Unknown arguments are ignored so benches stay forward-compatible with
-/// run_benches.sh flags they don't care about.
+///   --help          print the usage and exit 0
+/// Any other argument prints the usage to stderr and exits 2.  Both exits
+/// happen before the bench does any work, so a mistyped flag never runs a
+/// full bench or overwrites its BENCH_*.json.
 struct BenchArgs {
   bool quick = false;
   bool trace = false;
   std::string trace_path;
 };
+
+inline void print_bench_usage(std::FILE* out, const char* program) {
+  std::fprintf(out,
+               "usage: %s [--quick] [--trace[=PATH]] [--help]\n"
+               "  --quick         reduced sweep\n"
+               "  --trace[=PATH]  write a Chrome trace to PATH at exit\n",
+               program);
+}
 
 inline BenchArgs parse_bench_args(int argc, char** argv,
                                   const std::string& bench) {
@@ -53,6 +63,13 @@ inline BenchArgs parse_bench_args(int argc, char** argv,
     } else if (std::strncmp(a, "--trace=", 8) == 0) {
       args.trace = true;
       args.trace_path = a + 8;
+    } else if (std::strcmp(a, "--help") == 0) {
+      print_bench_usage(stdout, argv[0]);
+      std::exit(0);
+    } else {
+      std::fprintf(stderr, "%s: unknown argument '%s'\n", argv[0], a);
+      print_bench_usage(stderr, argv[0]);
+      std::exit(2);
     }
   }
   if (args.trace) {

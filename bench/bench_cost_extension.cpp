@@ -13,7 +13,8 @@
 
 using namespace ffet;
 
-int main() {
+int main(int argc, char** argv) {
+  bench::parse_bench_args(argc, argv, "bench_cost_extension");
   bench::print_title(
       "Cost extension",
       "PPA per relative process cost (quantifying 'cost-friendly design')");

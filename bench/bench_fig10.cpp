@@ -41,7 +41,8 @@ std::vector<Point> sweep(const flow::DesignContext& ctx,
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  bench::parse_bench_args(argc, argv, "bench_fig10");
   bench::print_title("Fig. 10",
                      "Frequency-area: CFET vs FFET FM12 at 1.5GHz target");
   bench::SweepTimer timer("bench_fig10", 2 * kPoints);

@@ -12,7 +12,8 @@
 
 using namespace ffet;
 
-int main() {
+int main(int argc, char** argv) {
+  bench::parse_bench_args(argc, argv, "bench_fig11");
   bench::print_title(
       "Fig. 11",
       "Power-frequency clouds across input-pin-density DoEs (FM12BM12)");

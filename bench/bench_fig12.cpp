@@ -25,7 +25,8 @@ struct Row {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  bench::parse_bench_args(argc, argv, "bench_fig12");
   bench::print_title(
       "Fig. 12",
       "Max utilization of FFET FP0.5BP0.5 vs routing layers per side");

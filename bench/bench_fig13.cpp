@@ -12,7 +12,8 @@
 
 using namespace ffet;
 
-int main() {
+int main(int argc, char** argv) {
+  bench::parse_bench_args(argc, argv, "bench_fig13");
   bench::print_title(
       "Fig. 13",
       "Power efficiency of FFET FP0.5BP0.5 vs routing layers per side");

@@ -10,7 +10,8 @@
 
 using namespace ffet;
 
-int main() {
+int main(int argc, char** argv) {
+  bench::parse_bench_args(argc, argv, "bench_fig4");
   bench::print_title("Fig. 4", "Standard cell area: 3.5T FFET vs 4T CFET");
   bench::print_note(
       "paper: ~12.5% mean scaling; extra gains in MUX/DFF (Split Gate);");

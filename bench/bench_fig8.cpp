@@ -132,9 +132,9 @@ int main(int argc, char** argv) {
                                (s == tech::Side::Front ? "front" : "back") +
                                ".def";
       std::ofstream os(path);
-      io::write_def(def, os);
-      std::printf("\n  Fig. 8(b): wrote %s (%zu components, %zu nets)\n",
-                  path.c_str(), def.components.size(), def.nets.size());
+      io::write_def(def, nl, os);
+      std::printf("\n  Fig. 8(b): wrote %s (%d components, %zu nets)\n",
+                  path.c_str(), nl.num_instances(), def.nets.size());
     }
   }
 

@@ -12,7 +12,8 @@
 
 using namespace ffet;
 
-int main() {
+int main(int argc, char** argv) {
+  bench::parse_bench_args(argc, argv, "bench_fig9");
   bench::print_title("Fig. 9",
                      "Power-frequency: CFET vs FFET FM12 at 76% utilization");
 

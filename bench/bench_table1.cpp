@@ -29,7 +29,8 @@ const std::map<std::string, PaperRow> kPaper = {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  bench::parse_bench_args(argc, argv, "bench_table1");
   bench::print_title("Table I",
                      "Library characterization: KPI diff of FFET w.r.t CFET");
   bench::print_note("KPIs at a drive-proportional FO4-style operating point.");

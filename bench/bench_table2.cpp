@@ -31,7 +31,8 @@ void print_stack(const tech::Technology& t) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  bench::parse_bench_args(argc, argv, "bench_table2");
   bench::print_title("Table II", "Design rules: BEOL metal layers");
   bench::SweepTimer timer("bench_table2", 7);  // 2 stacks + 5 limited variants
   bench::print_note(

@@ -34,7 +34,8 @@ const std::vector<Doe> kDoes = {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  bench::parse_bench_args(argc, argv, "bench_table3");
   bench::print_title("Table III",
                      "Pin-density x routing-layer co-optimization vs FFET FM12");
   const double util = 0.72;

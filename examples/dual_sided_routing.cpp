@@ -109,9 +109,9 @@ int main() {
   const io::Def front = io::build_def(nl, rr, tech::Side::Front);
   const io::Def back = io::build_def(nl, rr, tech::Side::Back);
   const io::Def merged = io::merge_defs(front, back);
-  std::ofstream("accumulator_front.def") << io::to_def_string(front);
-  std::ofstream("accumulator_back.def") << io::to_def_string(back);
-  std::ofstream("accumulator_merged.def") << io::to_def_string(merged);
+  std::ofstream("accumulator_front.def") << io::to_def_string(front, nl);
+  std::ofstream("accumulator_back.def") << io::to_def_string(back, nl);
+  std::ofstream("accumulator_merged.def") << io::to_def_string(merged, nl);
   std::printf("\nwrote accumulator_front.def / _back.def / _merged.def\n");
 
   // Extract one dual-sided net and print its RC tree.
@@ -119,14 +119,13 @@ int main() {
   for (const io::DefNet& dn : merged.nets) {
     bool has_f = false, has_b = false;
     for (const io::DefWire& w : dn.wires) {
-      (w.layer[0] == 'B' ? has_b : has_f) = true;
+      (w.side == tech::Side::Back ? has_b : has_f) = true;
     }
     if (!has_f || !has_b) continue;
-    const auto id = nl.find_net(dn.name);
-    const extract::RcTreeView t = rc.tree(*id);
+    const extract::RcTreeView t = rc.tree(dn.net);
     std::printf("\nRC tree of dual-sided net '%s': %zu nodes, %.3f fF total "
                 "load\n",
-                dn.name.c_str(), t.nodes.size(), t.total_cap_ff);
+                nl.net_name(dn.net).c_str(), t.nodes.size(), t.total_cap_ff);
     for (std::size_t i = 0; i < t.nodes.size() && i < 12; ++i) {
       const auto& n = t.nodes[i];
       std::printf("  node %2zu [%5s] parent=%2d R=%7.1f ohm C=%6.3f fF "

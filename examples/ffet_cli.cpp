@@ -158,11 +158,11 @@ int main(int argc, char** argv) {
     std::ofstream(p + ".lef") << io::to_lef_string(*ctx->library);
     std::ofstream(p + ".lib") << liberty::to_liberty_string(*ctx->library);
     std::ofstream(p + ".v") << io::to_verilog_string(d.nl);
-    std::ofstream(p + ".front.def")
-        << io::to_def_string(io::build_def(d.nl, d.routes, tech::Side::Front));
-    std::ofstream(p + ".back.def")
-        << io::to_def_string(io::build_def(d.nl, d.routes, tech::Side::Back));
-    std::ofstream(p + ".merged.def") << io::to_def_string(d.merged);
+    std::ofstream(p + ".front.def") << io::to_def_string(
+        io::build_def(d.nl, d.routes, tech::Side::Front), d.nl);
+    std::ofstream(p + ".back.def") << io::to_def_string(
+        io::build_def(d.nl, d.routes, tech::Side::Back), d.nl);
+    std::ofstream(p + ".merged.def") << io::to_def_string(d.merged, d.nl);
     std::ofstream(p + ".spef") << extract::to_spef_string(d.rc, d.nl);
     std::printf("\nwrote %s.{lef,lib,v,front.def,back.def,merged.def,spef}\n",
                 p.c_str());

@@ -6,6 +6,7 @@
 #include <limits>
 #include <queue>
 #include <stdexcept>
+#include <string>
 #include <unordered_map>
 
 #include "obs/obs.h"
@@ -57,8 +58,7 @@ class DensityGrid {
     // Wire length per bin, per side.
     for (const io::DefNet& n : def.nets) {
       for (const io::DefWire& w : n.wires) {
-        const int side = w.layer.empty() || w.layer[0] != 'B' ? 0 : 1;
-        add_segment(side, w.from, w.to);
+        add_segment(w.side == Side::Back ? 1 : 0, w.from, w.to);
       }
     }
 
@@ -133,9 +133,46 @@ struct NodeKeyHash {
   }
 };
 
-Side side_of_layer(const std::string& layer) {
-  return !layer.empty() && layer[0] == 'B' ? Side::Back : Side::Front;
-}
+/// The read-only state every net's tree is built against: the merged Def
+/// indexed by NetId (null = no wires), the technology's metal layers by
+/// (side, index), the per-side density grids of the coupling model and the
+/// Drain-Merge resistance.
+struct TreeInputs {
+  TreeInputs(const io::Def& merged, const Netlist& nl, const Technology& tech)
+      : def_of(static_cast<std::size_t>(nl.num_nets()), nullptr),
+        density(merged, tech),
+        drain_merge_r(tech.device().np_link_r_ohm) {
+    for (const io::DefNet& n : merged.nets) {
+      if (n.net < 0 || n.net >= nl.num_nets()) {
+        throw std::runtime_error("merged DEF references net id " +
+                                 std::to_string(n.net));
+      }
+      def_of[static_cast<std::size_t>(n.net)] = &n;
+    }
+    for (const tech::MetalLayer& l : tech.layers()) {
+      if (l.index < 0) continue;  // the BPR carries no routed wires
+      auto& by_index = layers[l.side == Side::Back ? 1 : 0];
+      const auto i = static_cast<std::size_t>(l.index);
+      if (by_index.size() <= i) by_index.resize(i + 1, nullptr);
+      by_index[i] = &l;
+    }
+  }
+
+  const tech::MetalLayer& layer_of(const io::DefWire& w) const {
+    const auto& by_index = layers[w.side == Side::Back ? 1 : 0];
+    const auto i = static_cast<std::size_t>(w.layer);
+    if (w.layer < 0 || i >= by_index.size() || !by_index[i]) {
+      throw std::runtime_error("merged DEF references unknown layer " +
+                               io::layer_name(w.side, w.layer));
+    }
+    return *by_index[i];
+  }
+
+  std::vector<const io::DefNet*> def_of;
+  std::array<std::vector<const tech::MetalLayer*>, 2> layers;
+  DensityGrid density;
+  double drain_merge_r;
+};
 
 struct Adj {
   int to;
@@ -146,8 +183,7 @@ struct Adj {
 /// its merged-DEF wires, the side density grids, and the current pin
 /// landscape — the shared kernel of extract_rc and reextract_nets.
 void build_net_tree(RcTree& tree, netlist::NetId net_id, const Netlist& nl,
-                    const Technology& tech, const io::DefNet* dn,
-                    const DensityGrid& density, double drain_merge_r) {
+                    const TreeInputs& in) {
   FFET_TRACE_SCOPE("extract.net");
   tree.clear();
   const netlist::Net& net = nl.net(net_id);
@@ -177,26 +213,21 @@ void build_net_tree(RcTree& tree, netlist::NetId net_id, const Netlist& nl,
     return idx;
   };
 
-  if (dn) {
+  if (const io::DefNet* dn = in.def_of[static_cast<std::size_t>(net_id)]) {
     node_of.reserve(dn->wires.size() * 2);
     for (const io::DefWire& w : dn->wires) {
-      const Side s = side_of_layer(w.layer);
-      const tech::MetalLayer* layer = tech.find_layer(w.layer);
-      if (!layer) {
-        throw std::runtime_error("merged DEF references unknown layer " +
-                                 w.layer);
-      }
+      const tech::MetalLayer& layer = in.layer_of(w);
       const double len_um = geom::to_um(geom::manhattan(w.from, w.to));
-      const double r = std::max(1e-3, len_um * layer->r_ohm_per_um);
+      const double r = std::max(1e-3, len_um * layer.r_ohm_per_um);
       // Coupling: neighbors at the segment midpoint raise the effective
       // capacitance (Miller factor on switching aggressors).
       const geom::Point mid{(w.from.x + w.to.x) / 2,
                             (w.from.y + w.to.y) / 2};
       const double coupling =
-          1.0 + kMillerCoupling * density.ratio(s, mid);
-      const double c = len_um * layer->c_ff_per_um * coupling;
-      const int a = get_node(s, w.from);
-      const int b = get_node(s, w.to);
+          1.0 + kMillerCoupling * in.density.ratio(w.side, mid);
+      const double c = len_um * layer.c_ff_per_um * coupling;
+      const int a = get_node(w.side, w.from);
+      const int b = get_node(w.side, w.to);
       tree.nodes[static_cast<std::size_t>(a)].cap_ff += c / 2.0;
       tree.nodes[static_cast<std::size_t>(b)].cap_ff += c / 2.0;
       // Via stacks are charged at the pin hookups (kPinHookupOhm), not
@@ -222,7 +253,7 @@ void build_net_tree(RcTree& tree, netlist::NetId net_id, const Netlist& nl,
     }
     if (nearest < 0) continue;
     const double joint_r = kPinHookupOhm +
-                           (s == Side::Back ? drain_merge_r : 0.0);
+                           (s == Side::Back ? in.drain_merge_r : 0.0);
     adj[0].push_back({nearest, joint_r});
     adj[static_cast<std::size_t>(nearest)].push_back({0, joint_r});
   }
@@ -278,20 +309,6 @@ void build_net_tree(RcTree& tree, netlist::NetId net_id, const Netlist& nl,
   tree.wire_cap_ff = std::max(0.0, tree.total_cap_ff - pin_cap);
 }
 
-/// Per-net pointers into the merged DEF, indexed by NetId (null = the net
-/// has no DEF record, i.e. no wires).
-std::vector<const io::DefNet*> index_def_nets(const io::Def& merged,
-                                              const Netlist& nl) {
-  std::vector<const io::DefNet*> by_id(
-      static_cast<std::size_t>(nl.num_nets()), nullptr);
-  for (const io::DefNet& n : merged.nets) {
-    if (const auto id = nl.find_net(n.name)) {
-      by_id[static_cast<std::size_t>(*id)] = &n;
-    }
-  }
-  return by_id;
-}
-
 /// Recompute the aggregate totals from scratch in net order (shared tail
 /// of the full and incremental extractions; keeps them bit-identical).
 void sum_totals(RcNetlist& out) {
@@ -340,8 +357,6 @@ RcNetlist extract_rc(const io::Def& merged, const Netlist& nl,
   RcNetlist out;
   out.resize_trees(num_nets);
 
-  const std::vector<const io::DefNet*> def_nets = index_def_nets(merged, nl);
-
   // Arena pre-sizing: root + per-sink pin node per net, plus at most two
   // endpoint nodes per DEF wire segment.
   {
@@ -353,13 +368,10 @@ RcNetlist extract_rc(const io::Def& merged, const Netlist& nl,
     out.reserve_arena(num_nets + sinks + 2 * wires, sinks);
   }
 
-  // Neighborhood wire density per side (coupling model).
-  const DensityGrid density(merged, tech);
-
-  const double drain_merge_r = tech.device().np_link_r_ohm;
+  const TreeInputs in(merged, nl, tech);
 
   // Each net's tree is a pure function of read-only shared state (DEF
-  // index, density grid, netlist), so a chunk of nets is built into
+  // index, layers, density grid, netlist), so a chunk of nets is built into
   // per-net scratch slots in parallel without synchronization, then packed
   // into the arena serially in net order — bit-identical to the serial
   // loop while bounding scratch memory to one chunk.
@@ -371,9 +383,8 @@ RcNetlist extract_rc(const io::Def& merged, const Netlist& nl,
     runtime::parallel_for(
         count,
         [&](std::size_t i) {
-          build_net_tree(scratch[i],
-                         static_cast<netlist::NetId>(base + i), nl, tech,
-                         def_nets[base + i], density, drain_merge_r);
+          build_net_tree(scratch[i], static_cast<netlist::NetId>(base + i),
+                         nl, in);
         },
         threads, 0);
     for (std::size_t i = 0; i < count; ++i) {
@@ -392,22 +403,18 @@ void reextract_nets(RcNetlist& rc, const io::Def& merged,
   FFET_TRACE_SCOPE("extract.reextract");
   rc.resize_trees(static_cast<std::size_t>(nl.num_nets()));
 
-  const std::vector<const io::DefNet*> def_nets = index_def_nets(merged, nl);
-
   // The density grid is global state: any rerouted wire shifts the coupling
   // neighborhoods, so it is rebuilt from the *current* merged DEF.  Only
   // the listed trees are rebuilt against it — the clean nets' DEF wires are
   // unchanged by reroute_nets, so their trees (built from the same wires
   // and density field) stay valid.
-  const DensityGrid density(merged, tech);
-  const double drain_merge_r = tech.device().np_link_r_ohm;
+  const TreeInputs in(merged, nl, tech);
 
   long rebuilt = 0;
   RcTree scratch;
   for (const netlist::NetId n : dirty_nets) {
     if (n < 0 || n >= nl.num_nets()) continue;
-    build_net_tree(scratch, n, nl, tech, def_nets[static_cast<std::size_t>(n)],
-                   density, drain_merge_r);
+    build_net_tree(scratch, n, nl, in);
     rc.assign_tree(n, scratch);
     ++rebuilt;
   }

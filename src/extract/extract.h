@@ -1,7 +1,9 @@
 // extract.h — dual-sided RC extraction (Sec. III.C).
 //
-// Consumes the **merged** DEF (front + back wires in one model, the paper's
-// StarRC input) and produces per-net RC trees:
+// Consumes the **merged** io::Def (front + back wires in one model, the
+// paper's StarRC input) and produces per-net RC trees.  The model is typed:
+// each net's wires are found by NetId and each wire's layer by (side,
+// index) through one table built per call, so no name is resolved here.
 //
 //   * wire segments contribute distributed RC from their layer's derived
 //     electrical constants (pi-model: half the capacitance at each
@@ -164,6 +166,8 @@ class RcNetlist {
 /// Extract RC for every net of `nl` from the merged DEF.  `merged` must
 /// contain the union of front and back wires (see io::merge_defs); nets
 /// present in the netlist but absent from the DEF get pin-only trees.
+/// Throws std::runtime_error when a wire's (side, layer index) is not a
+/// layer of `tech` or a net id lies outside `nl`.
 /// Per-net trees are independent, so `threads > 1` builds them in parallel
 /// (bit-identical to serial: each net's tree is a pure function of its DEF
 /// wires, built into a per-net scratch slot and packed into the arena

@@ -416,8 +416,7 @@ void sign_off(PhysicalDesign& d, const DesignContext& ctx,
     res.resource.rc_nodes = d.rc.tree_node_count();
     res.resource.route_grid_nodes =
         static_cast<long long>(d.routes.gcols) * d.routes.grows;
-    res.resource.def_components =
-        static_cast<long long>(d.merged.components.size());
+    res.resource.def_components = d.nl.num_instances();
     res.resource.def_wires = wires;
   }
 

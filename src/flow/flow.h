@@ -172,7 +172,7 @@ struct ResourceUsage {
   long long netlist_nets = 0;
   long long rc_nodes = 0;           ///< RC tree nodes across all nets
   long long route_grid_nodes = 0;   ///< gcells (gcols * grows)
-  long long def_components = 0;     ///< merged-DEF components
+  long long def_components = 0;     ///< DEF COMPONENTS: the instances
   long long def_wires = 0;          ///< merged-DEF wire segments (both sides)
 };
 

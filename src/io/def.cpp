@@ -1,10 +1,11 @@
 #include "io/def.h"
 
 #include <algorithm>
+#include <charconv>
+#include <initializer_list>
 #include <sstream>
 #include <stdexcept>
 #include <string_view>
-#include <unordered_map>
 
 #include "io/stream_writer.h"
 
@@ -15,59 +16,35 @@ using pnr::NetRoute;
 using pnr::RouteResult;
 using tech::Side;
 
+std::string layer_name(Side side, int index) {
+  return (side == Side::Front ? "FM" : "BM") + std::to_string(index);
+}
+
 Def build_def(const Netlist& nl, const RouteResult& routes, Side side,
               const pnr::TrackAssignment* tracks, int tracks_per_edge) {
   Def def;
-  def.design = nl.name();
   // Die spans the routing grid extent.
   def.die = geom::make_rect({0, 0}, routes.gcols * routes.gcell_w,
                             routes.grows * routes.gcell_h);
 
-  def.components.reserve(static_cast<std::size_t>(nl.num_instances()));
-  for (netlist::InstId i = 0; i < nl.num_instances(); ++i) {
-    const netlist::Instance& inst = nl.instance(i);
-    def.components.push_back(
-        {nl.instance_name(i), inst.type->name(), inst.pos, inst.fixed});
-  }
-  for (const netlist::Port& p : nl.ports()) {
-    def.ports.push_back({p.name, p.is_input, p.pos});
-  }
-
-  // Nets: connectivity always, wires only for this side's routes.  Slots
-  // are NetId-indexed (def.nets is emitted in NetId order; `present` marks
-  // fully unconnected nets, which are skipped).
-  std::vector<DefNet> by_net(static_cast<std::size_t>(nl.num_nets()));
-  std::vector<char> present(static_cast<std::size_t>(nl.num_nets()), 0);
-  for (int n = 0; n < nl.num_nets(); ++n) {
+  // One record per connected net, in NetId order; `slot` maps a NetId to
+  // its record (-1: fully unconnected, skipped).
+  std::vector<int> slot(static_cast<std::size_t>(nl.num_nets()), -1);
+  for (netlist::NetId n = 0; n < nl.num_nets(); ++n) {
     const netlist::Net& net = nl.net(n);
     if (net.driver.inst == netlist::kNoInst && net.sinks.empty()) continue;
-    DefNet& dn = by_net[static_cast<std::size_t>(n)];
-    present[static_cast<std::size_t>(n)] = 1;
-    dn.name = nl.net_name(n);
-    dn.pins.reserve(net.sinks.size() + 1 + (net.port >= 0 ? 1 : 0));
-    if (net.port >= 0) {
-      dn.pins.push_back({"", nl.port(net.port).name});
-    }
-    auto pin_name = [&](const netlist::PinRef& r) {
-      const netlist::Instance& inst = nl.instance(r.inst);
-      return DefNetPin{nl.instance_name(r.inst),
-                       inst.type->pins()[static_cast<std::size_t>(r.pin)].name};
-    };
-    if (net.driver.inst != netlist::kNoInst) {
-      dn.pins.push_back(pin_name(net.driver));
-    }
-    for (const netlist::PinRef& s : net.sinks) dn.pins.push_back(pin_name(s));
+    slot[static_cast<std::size_t>(n)] = static_cast<int>(def.nets.size());
+    def.nets.push_back({n, {}});
   }
 
-  const char prefix = side == Side::Front ? 'F' : 'B';
   for (std::size_t ri = 0; ri < routes.routes.size(); ++ri) {
     const NetRoute& r = routes.routes[ri];
-    if (r.side != side) continue;
-    if (r.net < 0 || r.net >= nl.num_nets() ||
-        !present[static_cast<std::size_t>(r.net)]) {
+    if (r.side != side || r.net < 0 || r.net >= nl.num_nets() ||
+        slot[static_cast<std::size_t>(r.net)] < 0) {
       continue;
     }
-    DefNet& dn = by_net[static_cast<std::size_t>(r.net)];
+    DefNet& dn = def.nets[static_cast<std::size_t>(
+        slot[static_cast<std::size_t>(r.net)])];
     for (std::size_t ei = 0; ei < r.edges.size(); ++ei) {
       const pnr::GEdge& e = r.edges[ei];
       const int a = std::min(e.a, e.b);
@@ -92,45 +69,33 @@ Def build_def(const Netlist& nl, const RouteResult& routes, Side side,
           pb.x += off;
         }
       }
-      const int layer_index = horizontal ? r.h_layer_index : r.v_layer_index;
       dn.wires.push_back(
-          {std::string(1, prefix) + "M" + std::to_string(layer_index), pa,
-           pb});
+          {side, horizontal ? r.h_layer_index : r.v_layer_index, pa, pb});
     }
-  }
-
-  def.nets.reserve(
-      static_cast<std::size_t>(std::count(present.begin(), present.end(), 1)));
-  for (std::size_t n = 0; n < by_net.size(); ++n) {
-    if (present[n]) def.nets.push_back(std::move(by_net[n]));
   }
   return def;
 }
 
 Def merge_defs(const Def& front, const Def& back) {
-  if (front.design != back.design ||
-      front.components.size() != back.components.size() ||
-      front.nets.size() != back.nets.size()) {
-    throw std::invalid_argument(
-        "front/back DEFs describe different designs and cannot be merged");
+  if (front.nets.size() != back.nets.size()) {
+    throw std::invalid_argument("front/back DEFs differ in net count");
   }
-  Def merged = front;
+  Def merged;
+  merged.dbu_per_micron = front.dbu_per_micron;
   merged.die = front.die.united(back.die);
-  // Index back nets by name; append their wires to the front net.
-  std::unordered_map<std::string_view, const DefNet*> back_nets;
-  back_nets.reserve(back.nets.size());
-  for (const DefNet& n : back.nets) back_nets.emplace(n.name, &n);
-  for (DefNet& n : merged.nets) {
-    auto it = back_nets.find(n.name);
-    if (it == back_nets.end()) {
-      throw std::invalid_argument("net " + n.name + " missing from back DEF");
+  merged.nets.reserve(front.nets.size());
+  for (std::size_t i = 0; i < front.nets.size(); ++i) {
+    const DefNet& f = front.nets[i];
+    const DefNet& b = back.nets[i];
+    if (f.net != b.net) {
+      throw std::invalid_argument("front/back DEFs differ at net record " +
+                                  std::to_string(i));
     }
-    if (it->second->pins.size() != n.pins.size()) {
-      throw std::invalid_argument("net " + n.name +
-                                  " has mismatched connectivity");
-    }
-    n.wires.insert(n.wires.end(), it->second->wires.begin(),
-                   it->second->wires.end());
+    DefNet& m = merged.nets.emplace_back();
+    m.net = f.net;
+    m.wires.reserve(f.wires.size() + b.wires.size());
+    m.wires.insert(m.wires.end(), f.wires.begin(), f.wires.end());
+    m.wires.insert(m.wires.end(), b.wires.begin(), b.wires.end());
   }
   return merged;
 }
@@ -139,44 +104,57 @@ Def merge_defs(const Def& front, const Def& back) {
 // Writer
 // ---------------------------------------------------------------------------
 
-void write_def(const Def& def, std::ostream& os) {
+void write_def(const Def& def, const Netlist& nl, std::ostream& os) {
   StreamWriter w(os);
   w << "VERSION 5.8 ;\n";
-  w << "DESIGN " << def.design << " ;\n";
+  w << "DESIGN " << nl.name() << " ;\n";
   w << "UNITS DISTANCE MICRONS " << def.dbu_per_micron << " ;\n";
   w << "DIEAREA ( " << def.die.lo.x << ' ' << def.die.lo.y << " ) ( "
     << def.die.hi.x << ' ' << def.die.hi.y << " ) ;\n";
 
-  w << "COMPONENTS " << def.components.size() << " ;\n";
-  for (const DefComponent& c : def.components) {
-    w << "- " << c.name << ' ' << c.cell << " + "
-      << (c.fixed ? "FIXED" : "PLACED") << " ( " << c.pos.x << ' '
-      << c.pos.y << " ) N ;\n";
+  std::string name;
+  auto inst_name = [&](netlist::InstId i) -> const std::string& {
+    name.clear();
+    nl.append_instance_name(name, i);
+    return name;
+  };
+
+  w << "COMPONENTS " << nl.num_instances() << " ;\n";
+  for (netlist::InstId i = 0; i < nl.num_instances(); ++i) {
+    const netlist::Instance& inst = nl.instance(i);
+    w << "- " << inst_name(i) << ' ' << inst.type->name() << " + "
+      << (inst.fixed ? "FIXED" : "PLACED") << " ( " << inst.pos.x << ' '
+      << inst.pos.y << " ) N ;\n";
   }
   w << "END COMPONENTS\n";
 
-  w << "PINS " << def.ports.size() << " ;\n";
-  for (const DefPort& p : def.ports) {
+  w << "PINS " << nl.ports().size() << " ;\n";
+  for (const netlist::Port& p : nl.ports()) {
     w << "- " << p.name << " + DIRECTION "
       << (p.is_input ? "INPUT" : "OUTPUT") << " + PLACED ( " << p.pos.x
       << ' ' << p.pos.y << " ) ;\n";
   }
   w << "END PINS\n";
 
+  auto pin = [&](const netlist::PinRef& r) {
+    w << " ( " << inst_name(r.inst) << ' '
+      << nl.instance(r.inst).type->pins()[static_cast<std::size_t>(r.pin)].name
+      << " )";
+  };
   w << "NETS " << def.nets.size() << " ;\n";
   for (const DefNet& n : def.nets) {
-    w << "- " << n.name;
-    for (const DefNetPin& p : n.pins) {
-      if (p.component.empty()) {
-        w << " ( PIN " << p.pin << " )";
-      } else {
-        w << " ( " << p.component << ' ' << p.pin << " )";
-      }
-    }
+    const netlist::Net& net = nl.net(n.net);
+    name.clear();
+    nl.append_net_name(name, n.net);
+    w << "- " << name;
+    if (net.port >= 0) w << " ( PIN " << nl.port(net.port).name << " )";
+    if (net.driver.inst != netlist::kNoInst) pin(net.driver);
+    for (const netlist::PinRef& s : net.sinks) pin(s);
     for (std::size_t wi = 0; wi < n.wires.size(); ++wi) {
-      w << "\n  " << (wi == 0 ? "+ ROUTED " : "NEW ") << n.wires[wi].layer
-        << " ( " << n.wires[wi].from.x << ' ' << n.wires[wi].from.y
-        << " ) ( " << n.wires[wi].to.x << ' ' << n.wires[wi].to.y << " )";
+      const DefWire& x = n.wires[wi];
+      w << "\n  " << (wi == 0 ? "+ ROUTED " : "NEW ")
+        << layer_name(x.side, x.layer) << " ( " << x.from.x << ' '
+        << x.from.y << " ) ( " << x.to.x << ' ' << x.to.y << " )";
     }
     w << " ;\n";
   }
@@ -184,9 +162,9 @@ void write_def(const Def& def, std::ostream& os) {
   w << "END DESIGN\n";
 }
 
-std::string to_def_string(const Def& def) {
+std::string to_def_string(const Def& def, const Netlist& nl) {
   std::ostringstream os;
-  write_def(def, os);
+  write_def(def, nl, os);
   return os.str();
 }
 
@@ -198,160 +176,169 @@ namespace {
 
 class Tokenizer {
  public:
-  explicit Tokenizer(std::istream& is) : is_(is) {}
+  explicit Tokenizer(std::string_view text) : text_(text) {}
 
-  std::string next() {
-    std::string t;
-    if (!(is_ >> t)) throw std::runtime_error("unexpected end of DEF");
-    return t;
+  std::string_view next() {
+    constexpr std::string_view kSpace = " \t\r\n";
+    const std::size_t b = text_.find_first_not_of(kSpace, pos_);
+    if (b == std::string_view::npos) {
+      throw std::runtime_error("unexpected end of DEF");
+    }
+    pos_ = std::min(text_.find_first_of(kSpace, b), text_.size());
+    return text_.substr(b, pos_ - b);
   }
-  bool try_next(std::string& t) { return static_cast<bool>(is_ >> t); }
 
-  long long next_int() {
-    const std::string t = next();
-    try {
-      return std::stoll(t);
-    } catch (...) {
-      throw std::runtime_error("expected integer, got '" + t + "'");
+  /// The whole next token as an integer of type T.
+  template <typename T = long long>
+  T next_int() {
+    return parse_int<T>(next());
+  }
+
+  void expect(std::initializer_list<std::string_view> want) {
+    for (const std::string_view w : want) {
+      const std::string_view t = next();
+      if (t != w) {
+        throw std::runtime_error("expected '" + std::string(w) + "', got '" +
+                                 std::string(t) + "'");
+      }
     }
   }
 
-  void expect(const std::string& want) {
-    const std::string t = next();
-    if (t != want) {
-      throw std::runtime_error("expected '" + want + "', got '" + t + "'");
+  template <typename T>
+  static T parse_int(std::string_view t) {
+    T v{};
+    const auto [end, ec] = std::from_chars(t.data(), t.data() + t.size(), v);
+    if (ec != std::errc{} || end != t.data() + t.size()) {
+      throw std::runtime_error("expected integer, got '" + std::string(t) +
+                               "'");
     }
+    return v;
+  }
+
+  geom::Point next_point() {
+    expect({"("});
+    geom::Point p;
+    p.x = next_int<geom::Nm>();
+    p.y = next_int<geom::Nm>();
+    expect({")"});
+    return p;
+  }
+
+  /// Skip a COMPONENTS or PINS section: the netlist's, so only its shape
+  /// is read here (each entry is `tokens` tokens) and check_canonical
+  /// compares its text.
+  void skip_section(std::string_view name, int tokens) {
+    expect({name});
+    const auto n = next_int();
+    expect({";"});
+    for (long long i = 0; i < n; ++i) {
+      for (int t = 0; t < tokens; ++t) next();
+    }
+    expect({"END", name});
   }
 
  private:
-  std::istream& is_;
+  std::string_view text_;
+  std::size_t pos_ = 0;
 };
+
+/// Inverse of layer_name: "FM<i>" / "BM<i>" with i >= 0.
+DefWire parse_layer(std::string_view t) {
+  const bool back = t.starts_with("BM");
+  const int layer = back || t.starts_with("FM")
+                        ? Tokenizer::parse_int<int>(t.substr(2))
+                        : -1;
+  if (layer < 0) {
+    throw std::runtime_error("unknown DEF layer '" + std::string(t) + "'");
+  }
+  return {back ? Side::Back : Side::Front, layer, {}, {}};
+}
+
+/// The line of `text` holding byte `pos`.
+std::string_view line_at(std::string_view text, std::size_t pos) {
+  const std::size_t b =
+      pos == 0 ? 0 : text.rfind('\n', pos - 1) + 1;  // npos + 1 == 0
+  return text.substr(b, text.find('\n', b) - b);
+}
+
+/// Reject `text` unless it is byte for byte `canonical`, what write_def
+/// renders for the parsed model.
+void check_canonical(const std::string& text, const std::string& canonical,
+                     const Netlist& nl) {
+  if (text == canonical) return;
+  const auto at = std::mismatch(text.begin(), text.end(), canonical.begin(),
+                                canonical.end())
+                      .first;
+  const auto pos = static_cast<std::size_t>(at - text.begin());
+  throw std::runtime_error(
+      "DEF line " + std::to_string(1 + std::count(text.begin(), at, '\n')) +
+      " does not describe netlist " + nl.name() + ": got '" +
+      std::string(line_at(text, pos)) + "', expected '" +
+      std::string(line_at(canonical, pos)) + "'");
+}
 
 }  // namespace
 
-Def read_def(std::istream& is) {
-  Tokenizer tk(is);
-  Def def;
-
-  tk.expect("VERSION");
-  tk.next();  // 5.8
-  tk.expect(";");
-  tk.expect("DESIGN");
-  def.design = tk.next();
-  tk.expect(";");
-  tk.expect("UNITS");
-  tk.expect("DISTANCE");
-  tk.expect("MICRONS");
-  def.dbu_per_micron = static_cast<int>(tk.next_int());
-  tk.expect(";");
-  tk.expect("DIEAREA");
-  tk.expect("(");
-  def.die.lo.x = tk.next_int();
-  def.die.lo.y = tk.next_int();
-  tk.expect(")");
-  tk.expect("(");
-  def.die.hi.x = tk.next_int();
-  def.die.hi.y = tk.next_int();
-  tk.expect(")");
-  tk.expect(";");
-
-  tk.expect("COMPONENTS");
-  const auto ncomp = tk.next_int();
-  tk.expect(";");
-  for (long long i = 0; i < ncomp; ++i) {
-    tk.expect("-");
-    DefComponent c;
-    c.name = tk.next();
-    c.cell = tk.next();
-    tk.expect("+");
-    const std::string kind = tk.next();
-    c.fixed = kind == "FIXED";
-    tk.expect("(");
-    c.pos.x = tk.next_int();
-    c.pos.y = tk.next_int();
-    tk.expect(")");
-    tk.expect("N");
-    tk.expect(";");
-    def.components.push_back(std::move(c));
-  }
-  tk.expect("END");
-  tk.expect("COMPONENTS");
-
-  tk.expect("PINS");
-  const auto npins = tk.next_int();
-  tk.expect(";");
-  for (long long i = 0; i < npins; ++i) {
-    tk.expect("-");
-    DefPort p;
-    p.name = tk.next();
-    tk.expect("+");
-    tk.expect("DIRECTION");
-    p.is_input = tk.next() == "INPUT";
-    tk.expect("+");
-    tk.expect("PLACED");
-    tk.expect("(");
-    p.pos.x = tk.next_int();
-    p.pos.y = tk.next_int();
-    tk.expect(")");
-    tk.expect(";");
-    def.ports.push_back(std::move(p));
-  }
-  tk.expect("END");
-  tk.expect("PINS");
-
-  tk.expect("NETS");
-  const auto nnets = tk.next_int();
-  tk.expect(";");
-  for (long long i = 0; i < nnets; ++i) {
-    tk.expect("-");
-    DefNet n;
-    n.name = tk.next();
-    // Pins then optional routed segments, terminated by ';'.
-    std::string t = tk.next();
-    while (t == "(") {
-      DefNetPin p;
-      const std::string a = tk.next();
-      if (a == "PIN") {
-        p.pin = tk.next();
-      } else {
-        p.component = a;
-        p.pin = tk.next();
-      }
-      tk.expect(")");
-      n.pins.push_back(std::move(p));
-      t = tk.next();
-    }
-    while (t == "+" || t == "NEW") {
-      if (t == "+") tk.expect("ROUTED");
-      DefWire w;
-      w.layer = tk.next();
-      tk.expect("(");
-      w.from.x = tk.next_int();
-      w.from.y = tk.next_int();
-      tk.expect(")");
-      tk.expect("(");
-      w.to.x = tk.next_int();
-      w.to.y = tk.next_int();
-      tk.expect(")");
-      n.wires.push_back(std::move(w));
-      t = tk.next();
-    }
-    if (t != ";") {
-      throw std::runtime_error("malformed net " + n.name + " near '" + t +
-                               "'");
-    }
-    def.nets.push_back(std::move(n));
-  }
-  tk.expect("END");
-  tk.expect("NETS");
-  tk.expect("END");
-  tk.expect("DESIGN");
-  return def;
+Def read_def(std::istream& is, const Netlist& nl) {
+  std::ostringstream text;
+  text << is.rdbuf();
+  return read_def_string(text.str(), nl);
 }
 
-Def read_def_string(const std::string& text) {
-  std::istringstream is(text);
-  return read_def(is);
+Def read_def_string(const std::string& text, const Netlist& nl) {
+  Tokenizer tk(text);
+  Def def;
+  tk.expect({"VERSION", "5.8", ";", "DESIGN"});
+  tk.next();  // the design name, checked with the rest below
+  tk.expect({";", "UNITS", "DISTANCE", "MICRONS"});
+  def.dbu_per_micron = tk.next_int<int>();
+  tk.expect({";", "DIEAREA"});
+  def.die.lo = tk.next_point();
+  def.die.hi = tk.next_point();
+  tk.expect({";"});
+  tk.skip_section("COMPONENTS", 11);  // - name cell + PLACED ( x y ) N ;
+  tk.skip_section("PINS", 12);  // - name + DIRECTION dir + PLACED ( x y ) ;
+
+  tk.expect({"NETS"});
+  const auto nnets = tk.next_int();
+  tk.expect({";"});
+  for (long long i = 0; i < nnets; ++i) {
+    tk.expect({"-"});
+    const std::string_view name = tk.next();
+    const auto id = nl.find_net(name);
+    if (!id || (!def.nets.empty() && *id <= def.nets.back().net)) {
+      throw std::runtime_error("DEF net '" + std::string(name) +
+                               "' is not the netlist's next net");
+    }
+    DefNet& n = def.nets.emplace_back();
+    n.net = *id;
+    // Pins "( component pin )" / "( PIN port )", then optional routed
+    // segments, terminated by ';'.
+    std::string_view t = tk.next();
+    for (; t == "("; t = tk.next()) {
+      tk.next();
+      tk.next();
+      tk.expect({")"});
+    }
+    for (; t == "+" || t == "NEW"; t = tk.next()) {
+      if (t == "+") tk.expect({"ROUTED"});
+      DefWire w = parse_layer(tk.next());
+      w.from = tk.next_point();
+      w.to = tk.next_point();
+      n.wires.push_back(w);
+    }
+    if (t != ";") {
+      throw std::runtime_error("malformed net " + std::string(name) +
+                               " near '" + std::string(t) + "'");
+    }
+  }
+  tk.expect({"END", "NETS", "END", "DESIGN"});
+
+  // Everything the model does not hold (design name, components, pins, net
+  // connectivity, spelling and layout) must be exactly what write_def
+  // renders from `nl`.
+  check_canonical(text, to_def_string(def, nl), nl);
+  return def;
 }
 
 // ---------------------------------------------------------------------------

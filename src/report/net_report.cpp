@@ -55,12 +55,12 @@ NetReport build_net_report(const netlist::Netlist& nl, const io::Def& merged,
   NetReport rep;
   const double dbu = static_cast<double>(merged.dbu_per_micron);
 
-  // NetId-indexed DEF lookup (no name-keyed map on the hot path).
+  // NetId-indexed DEF lookup.
   std::vector<const io::DefNet*> def_of(
       static_cast<std::size_t>(nl.num_nets()), nullptr);
   for (const io::DefNet& dn : merged.nets) {
-    if (const auto id = nl.find_net(dn.name)) {
-      def_of[static_cast<std::size_t>(*id)] = &dn;
+    if (dn.net >= 0 && dn.net < nl.num_nets()) {
+      def_of[static_cast<std::size_t>(dn.net)] = &dn;
     }
   }
 
@@ -76,31 +76,33 @@ NetReport build_net_report(const netlist::Netlist& nl, const io::Def& merged,
     a.fanout = static_cast<int>(net.sinks.size());
 
     if (const io::DefNet* dn = def_of[static_cast<std::size_t>(id)]) {
-      std::map<std::string, double> per_layer;
+      // Layers as (side, index); named only for the per-layer list.
+      using Layer = std::pair<tech::Side, int>;
+      std::map<Layer, double> per_layer;
       // Distinct layers meeting at a wire endpoint imply a via stack there
       // (front<->back meetings are the Drain-Merge hookup).
-      std::map<std::pair<geom::Nm, geom::Nm>,
-               std::vector<const std::string*>>
+      std::map<std::pair<geom::Nm, geom::Nm>, std::vector<Layer>>
           point_layers;
       for (const io::DefWire& w : dn->wires) {
         const double len_um =
             (std::abs(static_cast<double>(w.to.x - w.from.x)) +
              std::abs(static_cast<double>(w.to.y - w.from.y))) /
             dbu;
-        per_layer[w.layer] += len_um;
-        if (!w.layer.empty() && w.layer[0] == 'B') {
-          a.length_back_um += len_um;
-        } else {
-          a.length_front_um += len_um;
-        }
+        const Layer layer{w.side, w.layer};
+        per_layer[layer] += len_um;
+        (w.side == tech::Side::Back ? a.length_back_um : a.length_front_um) +=
+            len_um;
         for (const geom::Point& p : {w.from, w.to}) {
           auto& layers = point_layers[{p.x, p.y}];
-          bool seen = false;
-          for (const std::string* l : layers) seen = seen || *l == w.layer;
-          if (!seen) layers.push_back(&w.layer);
+          if (std::find(layers.begin(), layers.end(), layer) == layers.end()) {
+            layers.push_back(layer);
+          }
         }
       }
-      for (auto& [layer, um] : per_layer) a.layer_um.emplace_back(layer, um);
+      for (const auto& [layer, um] : per_layer) {
+        a.layer_um.emplace_back(io::layer_name(layer.first, layer.second), um);
+      }
+      std::sort(a.layer_um.begin(), a.layer_um.end());
       for (const auto& [pt, layers] : point_layers) {
         (void)pt;
         a.vias += static_cast<int>(layers.size()) - 1;

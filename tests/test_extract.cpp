@@ -1,6 +1,10 @@
 // Tests for dual-sided RC extraction: tree structure, Elmore properties,
 // the Drain-Merge front/back junction, and consistency with the merged DEF.
 
+#include <cstdint>
+#include <cstring>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "extract/extract.h"
@@ -64,6 +68,50 @@ netlist::Netlist* ExtractTest::nl_ = nullptr;
 io::Def* ExtractTest::merged_ = nullptr;
 RcNetlist* ExtractTest::rc_ = nullptr;
 
+/// FNV-1a over the bit patterns of every node's R, C and Elmore delay, its
+/// parent and side, every sink hookup, and the design totals.
+std::uint64_t rc_hash(const RcNetlist& rc) {
+  std::uint64_t h = 1469598103934665603ull;
+  auto mix = [&h](const void* p, std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i) {
+      h ^= static_cast<const unsigned char*>(p)[i];
+      h *= 1099511628211ull;
+    }
+  };
+  auto mix_double = [&mix](double v) {
+    std::uint64_t bits;
+    std::memcpy(&bits, &v, sizeof bits);
+    mix(&bits, sizeof bits);
+  };
+  for (std::size_t n = 0; n < rc.num_trees(); ++n) {
+    const RcTreeView t = rc.tree(static_cast<netlist::NetId>(n));
+    for (std::size_t i = 0; i < t.nodes.size(); ++i) {
+      mix_double(t.nodes[i].r_ohm);
+      mix_double(t.nodes[i].cap_ff);
+      mix_double(t.elmore_ps[i]);
+      mix(&t.nodes[i].parent, sizeof t.nodes[i].parent);
+      mix(&t.nodes[i].side, sizeof t.nodes[i].side);
+    }
+    for (const std::int32_t s : t.sink_nodes) mix(&s, sizeof s);
+    mix_double(t.total_cap_ff);
+    mix_double(t.wire_cap_ff);
+  }
+  mix_double(rc.total_wire_cap_ff);
+  mix_double(rc.total_wire_res_kohm);
+  return h;
+}
+
+// Golden fingerprint of the extracted RC netlist, at one and four threads:
+// any change to how the extractor reads the merged DEF must reproduce
+// every bit.
+TEST_F(ExtractTest, RcMatchesGoldenHash) {
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE(threads);
+    EXPECT_EQ(rc_hash(extract_rc(*merged_, *nl_, *tech_, threads)),
+              0x0288ea80a94237ceull);
+  }
+}
+
 TEST_F(ExtractTest, OneTreePerNet) {
   ASSERT_EQ(rc_->num_trees(), static_cast<std::size_t>(nl_->num_nets()));
   for (int n = 0; n < nl_->num_nets(); ++n) {
@@ -122,23 +170,24 @@ TEST_F(ExtractTest, DualSidedNetsJoinThroughDrainMerge) {
   for (const io::DefNet& dn : merged_->nets) {
     bool has_f = false, has_b = false;
     for (const io::DefWire& w : dn.wires) {
-      (w.layer[0] == 'B' ? has_b : has_f) = true;
+      (w.side == tech::Side::Back ? has_b : has_f) = true;
     }
     if (!has_f || !has_b) continue;
-    const auto id = nl_->find_net(dn.name);
-    ASSERT_TRUE(id.has_value());
-    const RcTreeView t = rc_->tree(*id);
+    ASSERT_GE(dn.net, 0);
+    ASSERT_LT(dn.net, nl_->num_nets());
+    const std::string name = nl_->net_name(dn.net);
+    const RcTreeView t = rc_->tree(dn.net);
     bool node_f = false, node_b = false;
     for (const RcNode& nd : t.nodes) {
       (nd.side == tech::Side::Back ? node_b : node_f) = true;
     }
-    EXPECT_TRUE(node_f && node_b) << dn.name;
+    EXPECT_TRUE(node_f && node_b) << name;
     // Some node's resistance to parent carries the Drain Merge value.
     bool merge_seen = false;
     for (const RcNode& nd : t.nodes) {
       if (nd.r_ohm >= tech_->device().np_link_r_ohm) merge_seen = true;
     }
-    EXPECT_TRUE(merge_seen) << dn.name;
+    EXPECT_TRUE(merge_seen) << name;
     if (++checked > 20) break;
   }
   EXPECT_GT(checked, 5) << "expected plenty of dual-sided nets";
@@ -154,9 +203,7 @@ TEST_F(ExtractTest, LongerWiresMoreCapacitance) {
     for (const io::DefWire& w : dn.wires) {
       len += geom::to_um(geom::manhattan(w.from, w.to));
     }
-    const auto id = nl_->find_net(dn.name);
-    if (!id) continue;
-    const RcTreeView t = rc_->tree(*id);
+    const RcTreeView t = rc_->tree(dn.net);
     if (len > best_len) {
       best_len = len;
       best_cap = t.wire_cap_ff;
@@ -171,13 +218,24 @@ TEST_F(ExtractTest, LongerWiresMoreCapacitance) {
 }
 
 TEST_F(ExtractTest, UnknownLayerRejected) {
-  io::Def bad = *merged_;
-  for (auto& n : bad.nets) {
-    if (!n.wires.empty()) {
-      n.wires[0].layer = "XM3";
-      break;
+  for (const tech::Side side : {tech::Side::Front, tech::Side::Back}) {
+    for (const int layer : {-1, 13, 99}) {
+      io::Def bad = *merged_;
+      for (auto& n : bad.nets) {
+        if (!n.wires.empty()) {
+          n.wires[0].side = side;
+          n.wires[0].layer = layer;
+          break;
+        }
+      }
+      EXPECT_THROW(extract_rc(bad, *nl_, *tech_), std::runtime_error)
+          << io::layer_name(side, layer);
+      EXPECT_THROW(extract_rc(bad, *nl_, *tech_, 4), std::runtime_error);
     }
   }
+  // A net id outside the netlist is rejected too.
+  io::Def bad = *merged_;
+  bad.nets.back().net = nl_->num_nets();
   EXPECT_THROW(extract_rc(bad, *nl_, *tech_), std::runtime_error);
 }
 
@@ -202,10 +260,9 @@ TEST(ExtractMicro, SingleWireElmoreMatchesHandComputation) {
 
   // Hand-build a DEF with one FM2 wire of 4.5 um on the mid net.
   io::Def def;
-  def.design = nl.name();
   io::DefNet dn;
-  dn.name = nl.net_name(mid);
-  dn.wires.push_back({"FM2", {0, 0}, {4500, 0}});
+  dn.net = mid;
+  dn.wires.push_back({tech::Side::Front, 2, {0, 0}, {4500, 0}});
   def.nets.push_back(dn);
 
   const RcNetlist rc = extract_rc(def, nl, tech);

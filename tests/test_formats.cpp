@@ -323,8 +323,9 @@ TEST_F(FormatsTest, AccumulatorDefRoundTripReExtractsIdentically) {
       extract::extract_rc(io::merge_defs(front, back), nl, tech_);
 
   // Write → read each side, merge, re-extract.
-  const io::Def front2 = io::read_def_string(io::to_def_string(front));
-  const io::Def back2 = io::read_def_string(io::to_def_string(back));
+  const io::Def front2 =
+      io::read_def_string(io::to_def_string(front, nl), nl);
+  const io::Def back2 = io::read_def_string(io::to_def_string(back, nl), nl);
   const extract::RcNetlist rc2 =
       extract::extract_rc(io::merge_defs(front2, back2), nl, tech_);
 

@@ -1,7 +1,10 @@
 // Tests for the LEF/DEF exchange layer: per-side DEF building, the paper's
 // two-DEF merge, writer/reader round-trips, and LEF pin-side encoding.
 
+#include <cstdint>
 #include <sstream>
+#include <string>
+#include <string_view>
 
 #include <gtest/gtest.h>
 
@@ -62,21 +65,57 @@ netlist::Netlist* IoTest::nl_ = nullptr;
 pnr::Floorplan* IoTest::fp_ = nullptr;
 pnr::RouteResult* IoTest::rr_ = nullptr;
 
+/// FNV-1a over a string: a fingerprint of exact DEF bytes.
+std::uint64_t fnv1a(std::string_view s) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (const char c : s) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+/// `text` with the first occurrence of `from` replaced by `to`.
+std::string replace_first(std::string text, std::string_view from,
+                          std::string_view to) {
+  const auto at = text.find(from);
+  EXPECT_NE(at, std::string::npos) << from;
+  if (at != std::string::npos) text.replace(at, from.size(), to);
+  return text;
+}
+
+// Golden fingerprints of the front, back, merged and track-assigned DEF
+// text: any change to the model, the builder or the writer must reproduce
+// these files byte for byte.
+TEST_F(IoTest, DefTextMatchesGoldenHash) {
+  const Def front = build_def(*nl_, *rr_, tech::Side::Front);
+  const Def back = build_def(*nl_, *rr_, tech::Side::Back);
+  const pnr::TrackAssignment ta = pnr::assign_tracks(*rr_, 48);
+  EXPECT_EQ(fnv1a(to_def_string(front, *nl_)), 0x847e1df0d2417833ull);
+  EXPECT_EQ(fnv1a(to_def_string(back, *nl_)), 0x117f9bddb4f65118ull);
+  EXPECT_EQ(fnv1a(to_def_string(merge_defs(front, back), *nl_)),
+            0xa40a153c22b79367ull);
+  EXPECT_EQ(fnv1a(to_def_string(
+                build_def(*nl_, *rr_, tech::Side::Back, &ta, 48), *nl_)),
+            0xbfa7a6c7d487c80aull);
+}
+
 TEST_F(IoTest, PerSideDefsCarryOnlyThatSidesWires) {
   const Def front = build_def(*nl_, *rr_, tech::Side::Front);
   const Def back = build_def(*nl_, *rr_, tech::Side::Back);
-  EXPECT_EQ(front.components.size(), back.components.size());
-  EXPECT_EQ(front.nets.size(), back.nets.size());
+  ASSERT_EQ(front.nets.size(), back.nets.size());
   int front_wires = 0, back_wires = 0;
-  for (const DefNet& n : front.nets) {
-    for (const DefWire& w : n.wires) {
-      EXPECT_EQ(w.layer[0], 'F') << w.layer;
+  for (std::size_t i = 0; i < front.nets.size(); ++i) {
+    EXPECT_EQ(front.nets[i].net, back.nets[i].net);
+    if (i > 0) {
+      EXPECT_GT(front.nets[i].net, front.nets[i - 1].net);
+    }
+    for (const DefWire& w : front.nets[i].wires) {
+      EXPECT_EQ(w.side, tech::Side::Front) << layer_name(w.side, w.layer);
       ++front_wires;
     }
-  }
-  for (const DefNet& n : back.nets) {
-    for (const DefWire& w : n.wires) {
-      EXPECT_EQ(w.layer[0], 'B') << w.layer;
+    for (const DefWire& w : back.nets[i].wires) {
+      EXPECT_EQ(w.side, tech::Side::Back) << layer_name(w.side, w.layer);
       ++back_wires;
     }
   }
@@ -93,72 +132,122 @@ TEST_F(IoTest, MergeUnionsWires) {
   for (const DefNet& n : back.nets) bw += n.wires.size();
   for (const DefNet& n : merged.nets) mw += n.wires.size();
   EXPECT_EQ(mw, fw + bw);
-  EXPECT_EQ(merged.components.size(), front.components.size());
+  ASSERT_EQ(merged.nets.size(), front.nets.size());
+  // Each net: its front wires, then its back wires.
+  for (std::size_t i = 0; i < merged.nets.size(); ++i) {
+    const DefNet& m = merged.nets[i];
+    EXPECT_EQ(m.net, front.nets[i].net);
+    const std::size_t nf = front.nets[i].wires.size();
+    ASSERT_EQ(m.wires.size(), nf + back.nets[i].wires.size());
+    for (std::size_t w = 0; w < m.wires.size(); ++w) {
+      const DefWire& want =
+          w < nf ? front.nets[i].wires[w] : back.nets[i].wires[w - nf];
+      EXPECT_EQ(m.wires[w].side, want.side);
+      EXPECT_EQ(m.wires[w].layer, want.layer);
+      EXPECT_EQ(m.wires[w].from, want.from);
+      EXPECT_EQ(m.wires[w].to, want.to);
+    }
+  }
 }
 
 TEST_F(IoTest, MergeRejectsMismatchedDesigns) {
   Def front = build_def(*nl_, *rr_, tech::Side::Front);
   Def back = build_def(*nl_, *rr_, tech::Side::Back);
-  back.design = "other";
+  // A different NetId sequence.
+  back.nets[0].net = back.nets[1].net;
   EXPECT_THROW(merge_defs(front, back), std::invalid_argument);
-  back.design = front.design;
-  back.nets[0].name = "renamed_net";
+  back.nets[0].net = front.nets[0].net;
+  EXPECT_NO_THROW(merge_defs(front, back));
+  // A different net count.
+  back.nets.pop_back();
   EXPECT_THROW(merge_defs(front, back), std::invalid_argument);
 }
 
 TEST_F(IoTest, DefWriterReaderRoundTrip) {
   const Def front = build_def(*nl_, *rr_, tech::Side::Front);
-  const std::string text = to_def_string(front);
-  const Def again = read_def_string(text);
+  const std::string text = to_def_string(front, *nl_);
+  const Def again = read_def_string(text, *nl_);
 
-  EXPECT_EQ(again.design, front.design);
+  EXPECT_EQ(to_def_string(again, *nl_), text);
+  EXPECT_EQ(again.dbu_per_micron, front.dbu_per_micron);
   EXPECT_EQ(again.die, front.die);
-  ASSERT_EQ(again.components.size(), front.components.size());
-  for (std::size_t i = 0; i < front.components.size(); ++i) {
-    EXPECT_EQ(again.components[i].name, front.components[i].name);
-    EXPECT_EQ(again.components[i].cell, front.components[i].cell);
-    EXPECT_EQ(again.components[i].pos, front.components[i].pos);
-    EXPECT_EQ(again.components[i].fixed, front.components[i].fixed);
-  }
-  ASSERT_EQ(again.ports.size(), front.ports.size());
   ASSERT_EQ(again.nets.size(), front.nets.size());
   for (std::size_t i = 0; i < front.nets.size(); ++i) {
-    EXPECT_EQ(again.nets[i].name, front.nets[i].name);
-    ASSERT_EQ(again.nets[i].pins.size(), front.nets[i].pins.size());
+    EXPECT_EQ(again.nets[i].net, front.nets[i].net);
     ASSERT_EQ(again.nets[i].wires.size(), front.nets[i].wires.size());
     for (std::size_t w = 0; w < front.nets[i].wires.size(); ++w) {
+      EXPECT_EQ(again.nets[i].wires[w].side, front.nets[i].wires[w].side);
       EXPECT_EQ(again.nets[i].wires[w].layer, front.nets[i].wires[w].layer);
       EXPECT_EQ(again.nets[i].wires[w].from, front.nets[i].wires[w].from);
       EXPECT_EQ(again.nets[i].wires[w].to, front.nets[i].wires[w].to);
     }
   }
+  // The stream reader takes the same text.
+  std::istringstream is(text);
+  EXPECT_EQ(to_def_string(read_def(is, *nl_), *nl_), text);
 }
 
 TEST_F(IoTest, MergedDefRoundTrips) {
   const Def merged = merge_defs(build_def(*nl_, *rr_, tech::Side::Front),
                                 build_def(*nl_, *rr_, tech::Side::Back));
-  const Def again = read_def_string(to_def_string(merged));
+  const std::string text = to_def_string(merged, *nl_);
+  const Def again = read_def_string(text, *nl_);
   std::size_t w1 = 0, w2 = 0;
   for (const auto& n : merged.nets) w1 += n.wires.size();
   for (const auto& n : again.nets) w2 += n.wires.size();
   EXPECT_EQ(w1, w2);
+  EXPECT_EQ(to_def_string(again, *nl_), text);
 }
 
 TEST_F(IoTest, ReaderRejectsGarbage) {
-  EXPECT_THROW(read_def_string("VERSION"), std::runtime_error);
-  EXPECT_THROW(read_def_string("hello world ;"), std::runtime_error);
-  EXPECT_THROW(read_def_string(""), std::runtime_error);
+  EXPECT_THROW(read_def_string("VERSION", *nl_), std::runtime_error);
+  EXPECT_THROW(read_def_string("hello world ;", *nl_), std::runtime_error);
+  EXPECT_THROW(read_def_string("", *nl_), std::runtime_error);
+
+  const std::string header = "VERSION 5.8 ;\nDESIGN " + nl_->name() +
+                             " ;\nUNITS DISTANCE MICRONS ";
+  // An integer token must be an integer as a whole, and fit.
+  EXPECT_THROW(read_def_string(header + "12abc ;\n", *nl_), std::runtime_error);
+  EXPECT_THROW(read_def_string(header + "99999999999999999999 ;\n", *nl_),
+               std::runtime_error);
+  EXPECT_THROW(read_def_string(header + "abc ;\n", *nl_), std::runtime_error);
+
+  // Text that is well formed but does not describe this netlist.
+  const Def front = build_def(*nl_, *rr_, tech::Side::Front);
+  const std::string text = to_def_string(front, *nl_);
+  const std::string inst = nl_->instance_name(0);
+  const std::string net = nl_->net_name(front.nets[0].net);
+  const std::string& cell = nl_->instance(0).type->name();
+  for (const std::string& bad : {
+           replace_first(text, "- " + inst + " ", "- no_such_inst "),
+           replace_first(text, "- " + inst + " " + cell,
+                         "- " + inst + " NOCELLD1"),
+           replace_first(text, "\n- " + net + " ", "\n- no_such_net "),
+           replace_first(text, "+ ROUTED FM", "+ ROUTED XM3 ( 0 0 ) ( 0 0 ) NEW FM"),
+           replace_first(text, "+ ROUTED FM", "+ ROUTED FMx"),
+           replace_first(text, "+ ROUTED FM", "+ ROUTED FM-"),
+           replace_first(text, "DESIGN ", "DESIGN other_"),
+           replace_first(text, "VERSION 5.8", "VERSION  5.8"),
+           replace_first(text, "DIEAREA ( 0 ", "DIEAREA ( 00 "),
+           text.substr(0, text.size() - 1),
+       }) {
+    EXPECT_THROW(read_def_string(bad, *nl_), std::runtime_error)
+        << bad.substr(0, 200);
+  }
 }
 
 TEST_F(IoTest, FixedComponentsSurvive) {
   const Def front = build_def(*nl_, *rr_, tech::Side::Front);
+  std::istringstream text(to_def_string(front, *nl_));
   int fixed = 0;
-  for (const DefComponent& c : front.components) {
-    if (c.fixed) {
-      ++fixed;
-      EXPECT_EQ(c.cell, "TAPCELL");
-    }
+  for (std::string line; std::getline(text, line);) {
+    if (line.find(" + FIXED ") == std::string::npos) continue;
+    ++fixed;
+    EXPECT_NE(line.find(" TAPCELL + FIXED ("), std::string::npos) << line;
   }
+  int fixed_insts = 0;
+  for (const netlist::Instance& inst : nl_->instances()) fixed_insts += inst.fixed;
+  EXPECT_EQ(fixed, fixed_insts);
   EXPECT_GT(fixed, 0) << "power tap cells must appear as FIXED";
 }
 
@@ -184,7 +273,7 @@ TEST_F(IoTest, TrackAssignedDefSpreadsCoincidentWires) {
   for (const auto& n : plain.nets) w1 += n.wires.size();
   for (const auto& n : spread.nets) w2 += n.wires.size();
   EXPECT_EQ(w1, w2);
-  EXPECT_NO_THROW(read_def_string(to_def_string(spread)));
+  EXPECT_NO_THROW(read_def_string(to_def_string(spread, *nl_), *nl_));
 }
 
 TEST_F(IoTest, LefEncodesPinSides) {

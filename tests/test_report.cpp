@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 
@@ -853,10 +854,26 @@ TEST_F(ReportFlowTest, TimingReportIsDeterministic) {
   EXPECT_EQ(format_timing_report(a, 0.0), format_timing_report(b, 0.0));
 }
 
-TEST_F(ReportFlowTest, NetAttributionCoversRoutedDesign) {
-  const std::string def_before = io::to_def_string(snap_->merged);
+// Golden fingerprint of the net-attribution text: the summary with its
+// histograms and top nets, and every net's per-layer detail.
+TEST_F(ReportFlowTest, NetReportMatchesGoldenHash) {
   const NetReport rep = build_net_report(snap_->nl, snap_->merged, snap_->rc);
-  EXPECT_EQ(io::to_def_string(snap_->merged), def_before)
+  std::string text = format_net_report(rep, 20);
+  for (const NetAttribution& a : rep.nets) {
+    text += format_net_detail(rep, a.name);
+  }
+  std::uint64_t h = 1469598103934665603ull;
+  for (const char c : text) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ull;
+  }
+  EXPECT_EQ(h, 0xfd3c1bf510b52f55ull);
+}
+
+TEST_F(ReportFlowTest, NetAttributionCoversRoutedDesign) {
+  const std::string def_before = io::to_def_string(snap_->merged, snap_->nl);
+  const NetReport rep = build_net_report(snap_->nl, snap_->merged, snap_->rc);
+  EXPECT_EQ(io::to_def_string(snap_->merged, snap_->nl), def_before)
       << "building a report must not mutate the design";
 
   ASSERT_EQ(rep.nets.size(),

@@ -196,11 +196,11 @@ io::Def* ScaleIoTest::merged_ = nullptr;
 // bit-identically (write -> read -> re-write) on a ~9k-cell mesh design
 // whose instances and nets all carry synthesized names.
 TEST_F(ScaleIoTest, DefStreamingRoundTripIsBitIdentical) {
-  const std::string first = io::to_def_string(*merged_);
+  const std::string first = io::to_def_string(*merged_, *nl_);
   EXPECT_GT(first.size(), 100000u);  // genuinely large
-  const io::Def parsed = io::read_def_string(first);
+  const io::Def parsed = io::read_def_string(first, *nl_);
   EXPECT_EQ(parsed.nets.size(), merged_->nets.size());
-  const std::string second = io::to_def_string(parsed);
+  const std::string second = io::to_def_string(parsed, *nl_);
   ASSERT_EQ(second.size(), first.size());
   EXPECT_TRUE(second == first);
 }
